@@ -1,33 +1,11 @@
-"""Scalar restitution evaluation and the sequential collision kernel.
+"""Restitution evaluation and the majorant collision sweep, in numpy.
 
-Compiled with numba when available; a pure-python fallback keeps the
-package importable everywhere (set GSTEADY_DISABLE_NUMBA=1 to force it,
-e.g. when debugging the kernel).
+The sweep is executed level by level (see `collision_levels`); it makes the
+same accept decisions as a one-candidate-at-a-time loop and differs from it
+only where numpy's `pow` rounds differently from libm's.
 """
 
-import math
-import os
-
 import numpy as np
-
-try:
-    if os.environ.get("GSTEADY_DISABLE_NUMBA", "").lower() in {"1", "true", "yes"}:
-        raise ImportError("numba disabled by environment")
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
 
 KIND_CONSTANT = 0
 KIND_POWER_LAW = 1
@@ -35,9 +13,12 @@ KIND_VISCOELASTIC = 2
 
 # Exponent of the viscoelastic impact-speed dependence, e + a r^{1/5} e^{3/5} = 1.
 _VISCO_EXP = 0.2
+_NEWTON_MAX_ITER = 200
+_NEWTON_STEP_TOL = 1e-15
+# Elements per block of the vectorised Newton solve; bounds its temporaries.
+_NEWTON_BLOCK = 1 << 14
 
 
-@njit(cache=True)
 def eval_e_scalar(kind, e0, a, gamma, lam, r):
     """Restitution coefficient at impact speed r (lam pre-scales r)."""
     r = lam * r
@@ -52,77 +33,146 @@ def eval_e_scalar(kind, e0, a, gamma, lam, r):
         return 1.0
     c = a * r ** _VISCO_EXP
     y = 1.0
-    for _ in range(200):
+    for _ in range(_NEWTON_MAX_ITER):
         g = y * y * y * (y * y + c) - 1.0
         dg = y * y * (5.0 * y * y + 3.0 * c)
         step = g / dg
         y -= step
-        if abs(step) < 1e-15:
+        if abs(step) < _NEWTON_STEP_TOL:
             break
     return y ** 5
 
 
-@njit(cache=True)
-def eval_e_array(kind, e0, a, gamma, lam, r, out):
-    for i in range(r.shape[0]):
-        out[i] = eval_e_scalar(kind, e0, a, gamma, lam, r[i])
-    return out
+def _visco_newton(c):
+    """Root y of y^5 + c y^3 = 1 per element, with the iteration of eval_e_scalar.
 
-
-@njit(cache=True)
-def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
-                     kind, e0, a, gamma, lam):
-    """Thin candidate pairs and apply accepted collisions in order.
-
-    Mutates vel in place.  Returns (accepted, energy_loss, violated) where
-    violated = 1 flags a pair whose relative speed exceeded umax.
+    Each element takes exactly the Newton steps the scalar loop takes and is
+    frozen at the step where that loop breaks (c = 0 gives step 0, so y = 1).
     """
-    accepted = 0
-    loss = 0.0
-    for k in range(idx_i.shape[0]):
-        i = idx_i[k]
-        j = idx_j[k]
-        ux = vel[i, 0] - vel[j, 0]
-        uy = vel[i, 1] - vel[j, 1]
-        uz = vel[i, 2] - vel[j, 2]
-        un = math.sqrt(ux * ux + uy * uy + uz * uz)
-        if un > umax:
-            return accepted, loss, 1
-        if un <= 0.0 or accept_u[k] * umax >= un:
-            continue
-        sx = sigma[k, 0]
-        sy = sigma[k, 1]
-        sz = sigma[k, 2]
-        s = (ux * sx + uy * sy + uz * sz) / un
-        if s > 1.0:
-            s = 1.0
-        elif s < -1.0:
-            s = -1.0
-        impact = un * math.sqrt(0.5 * (1.0 - s))
-        e = eval_e_scalar(kind, e0, a, gamma, lam, impact)
-        b = 0.5 * (1.0 + e)
-        hx = 0.5 * b * (ux - un * sx)
-        hy = 0.5 * b * (uy - un * sy)
-        hz = 0.5 * b * (uz - un * sz)
-        vel[i, 0] -= hx
-        vel[i, 1] -= hy
-        vel[i, 2] -= hz
-        vel[j, 0] += hx
-        vel[j, 1] += hy
-        vel[j, 2] += hz
-        loss += 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
-        accepted += 1
-    return accepted, loss, 0
+    y = np.ones_like(c)
+    live = np.arange(c.size)
+    yl = y.copy()
+    cl = c.copy()
+    for _ in range(_NEWTON_MAX_ITER):
+        g = yl * yl * yl * (yl * yl + cl) - 1.0
+        dg = yl * yl * (5.0 * yl * yl + 3.0 * cl)
+        step = g / dg
+        yl -= step
+        done = np.abs(step) < _NEWTON_STEP_TOL
+        y[live[done]] = yl[done]
+        more = ~done
+        live, yl, cl = live[more], yl[more], cl[more]
+        if live.size == 0:
+            break
+    y[live] = yl
+    return y
 
 
 def eval_e_vec(kind, e0, a, gamma, lam, r):
-    """Vectorized restitution evaluation for float arrays."""
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    flat = r.ravel()
+    """Vectorized restitution evaluation for float arrays (shape kept)."""
+    r = np.asarray(r, dtype=np.float64)
     if kind == KIND_CONSTANT:
         return np.full(r.shape, e0)
     if kind == KIND_POWER_LAW:
-        return (1.0 / (1.0 + a * (lam * r) ** gamma)).reshape(r.shape)
-    out = np.empty_like(flat)
-    eval_e_array(kind, e0, a, gamma, lam, flat, out)
+        return 1.0 / (1.0 + a * (lam * r) ** gamma)
+    flat = r.ravel()
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _NEWTON_BLOCK):
+        c = a * (lam * flat[lo:lo + _NEWTON_BLOCK]) ** _VISCO_EXP
+        out[lo:lo + _NEWTON_BLOCK] = _visco_newton(c) ** 5
     return out.reshape(r.shape)
+
+
+def collision_levels(idx_i, idx_j):
+    """Dependency level of each candidate pair of a sequential sweep.
+
+    A candidate waits for every earlier candidate that shares a particle
+    with it: its level is 1 + the larger level of the previous candidates
+    touching i and j (0 when there are none).  Candidates on one level touch
+    disjoint particles, and every later candidate touching the same particle
+    sits on a higher level, so sweeping the levels in order gives each
+    candidate the velocities the sequential sweep would.
+    """
+    m = idx_i.shape[0]
+    # Endpoint 2k is i_k and 2k+1 is j_k.  Sorting the unique keys
+    # particle * 2m + position lists each particle's endpoints in candidate
+    # order, and the keys decode back to (particle, position).
+    parts = np.empty(2 * m, dtype=np.int64)
+    parts[0::2] = idx_i
+    parts[1::2] = idx_j
+    key = np.sort(parts * (2 * m) + np.arange(2 * m))
+    part, pos = np.divmod(key, 2 * m)
+    # prev[endpoint] = candidate holding the particle's previous endpoint,
+    # or m (whose level is pinned at -1) when there is none.
+    prev = np.empty(2 * m, dtype=np.int64)
+    prev[pos[0]] = m
+    prev[pos[1:]] = np.where(part[1:] == part[:-1], pos[:-1] // 2, m)
+    prev_i = prev[0::2]
+    prev_j = prev[1::2]
+    # A pair with i == j would find itself as j's predecessor.
+    self_dep = prev_j == np.arange(m)
+    prev_j[self_dep] = prev_i[self_dep]
+    level = np.zeros(m + 1, dtype=np.int64)
+    level[m] = -1
+    while True:
+        new = 1 + np.maximum(level.take(prev_i), level.take(prev_j))
+        if np.array_equal(new, level[:m]):
+            return new
+        level[:m] = new
+
+
+def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
+                     kind, e0, a, gamma, lam):
+    """Thin candidate pairs and apply accepted collisions in candidate order.
+
+    Mutates vel in place.  Returns (accepted, energy_loss, violated) where
+    violated = 1 flags a pair whose relative speed exceeded umax; the counts
+    then cover the candidates before the first such pair, as a sequential
+    sweep stopping there would report, but vel holds a partial update that
+    is not the sequential one, so the caller must discard it.
+    """
+    m = idx_i.shape[0]
+    if m == 0:
+        return 0, 0.0, 0
+    level = collision_levels(idx_i, idx_j)
+    accepted = np.zeros(m, dtype=bool)
+    terms = np.zeros(m)
+    stop = m  # index of the first violating candidate, if any
+    for lv in range(int(level.max()) + 1):
+        ks = np.flatnonzero(level == lv)
+        i = idx_i.take(ks)
+        j = idx_j.take(ks)
+        vi = vel.take(i, axis=0)
+        vj = vel.take(j, axis=0)
+        ux = vi[:, 0] - vj[:, 0]
+        uy = vi[:, 1] - vj[:, 1]
+        uz = vi[:, 2] - vj[:, 2]
+        un = np.sqrt(ux * ux + uy * uy + uz * uz)
+        over = un > umax
+        if over.any():
+            stop = min(stop, int(ks[over][0]))
+        # Negated skip test, so a NaN speed collides as in the scalar loop.
+        hit = ~(over | (un <= 0.0) | (accept_u.take(ks) * umax >= un))
+        if not hit.any():
+            continue
+        ks, i, j = ks[hit], i[hit], j[hit]
+        ux, uy, uz, un = ux[hit], uy[hit], uz[hit], un[hit]
+        sig = sigma.take(ks, axis=0)
+        sx = sig[:, 0]
+        sy = sig[:, 1]
+        sz = sig[:, 2]
+        s = np.clip((ux * sx + uy * sy + uz * sz) / un, -1.0, 1.0)
+        impact = un * np.sqrt(0.5 * (1.0 - s))
+        e = eval_e_vec(kind, e0, a, gamma, lam, impact)
+        b = 0.5 * (1.0 + e)
+        h = np.empty((ks.size, 3))
+        h[:, 0] = 0.5 * b * (ux - un * sx)
+        h[:, 1] = 0.5 * b * (uy - un * sy)
+        h[:, 2] = 0.5 * b * (uz - un * sz)
+        vel[i] = vi[hit] - h
+        vel[j] = vj[hit] + h
+        accepted[ks] = True
+        terms[ks] = 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
+    # Accumulated in candidate order, as the sequential sweep adds them.
+    loss = float(np.cumsum(terms[:stop])[-1]) if stop else 0.0
+    return int(np.count_nonzero(accepted[:stop])), loss, int(stop < m)

@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import hashlib
 import math
-import os
 import sys
 import time
 
@@ -50,11 +49,6 @@ def write_csv(path, columns, rows, manifest: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
-
-
-def _workers() -> int:
-    # Single logical stream today; the env var is honoured as a cap.
-    return max(1, int(os.environ.get("GSTEADY_THREADS", "1")))
 
 
 @click.group()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .dsmc import EngineConfig, InitialCondition
@@ -65,6 +66,8 @@ def parse_config_text(text: str) -> dict:
                 values[key] = _BOOL[val.lower()]
             else:
                 values[key] = conv(val)
+            if conv is float and not math.isfinite(values[key]):
+                raise ValueError(val)
         except (ValueError, KeyError):
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from None
     for key, (_, required) in _SCHEMA.items():

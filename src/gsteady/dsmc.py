@@ -10,6 +10,7 @@ run is bit-reproducible from its configuration alone.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -52,12 +53,14 @@ class EngineConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ConfigError("need at least 2 particles")
-        if self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
-        if self.mu < 0.0:
-            raise ConfigError("bath strength mu must be non-negative")
-        if self.umax_factor < 1.0:
-            raise ConfigError("umax_factor must be at least 1")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigError("dt must be finite and positive")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ConfigError("bath strength mu must be finite and non-negative")
+        if not (math.isfinite(self.umax_factor) and self.umax_factor >= 1.0):
+            raise ConfigError("umax_factor must be finite and at least 1")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ConfigError("tol must be finite and positive")
         if self.window < 2 or self.sample_every < 1:
             raise ConfigError("invalid steady-detection window")
 
@@ -143,7 +146,25 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
 
 
 def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemble:
-    """Advance the ensemble by one time step in place."""
+    """Advance the ensemble by one time step in place.
+
+    The step commits in full or not at all: if it raises, the velocities and
+    every counter are restored to their pre-step values before the error
+    propagates, so the energy ledger stays exact for a caller that catches it.
+    """
+    saved = dataclasses.replace(ens, velocities=ens.velocities.copy())
+    try:
+        _advance(ens, config, model)
+    except BaseException:
+        np.copyto(ens.velocities, saved.velocities)
+        for f in dataclasses.fields(Ensemble):
+            if f.name != "velocities":
+                setattr(ens, f.name, getattr(saved, f.name))
+        raise
+    return ens
+
+
+def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> None:
     vel = ens.velocities
     n = ens.n
     dt = config.dt
@@ -199,7 +220,6 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
 
     ens.t += dt
     ens.step_count += 1
-    return ens
 
 
 def _fit_slope(ts: np.ndarray, ys: np.ndarray) -> float:
@@ -292,11 +312,18 @@ def save_snapshot(path, ens: Ensemble) -> None:
 
 def load_snapshot(path) -> Ensemble:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline().decode("ascii", errors="replace").split()
         if not header or header[0] != SNAPSHOT_MAGIC:
             raise InputError("not a gsteady snapshot")
-        fields = dict(item.split("=", 1) for item in header[1:])
-        n = int(fields["N"])
-        t = float(fields["t"])
-        data = np.frombuffer(fh.read(24 * n), dtype="<f8").reshape(n, 3)
+        try:
+            fields = dict(item.split("=", 1) for item in header[1:])
+            n = int(fields["N"])
+            t = float(fields["t"])
+        except (KeyError, ValueError):
+            raise InputError("malformed snapshot header") from None
+        body = fh.read()
+    if n < 2 or len(body) != 24 * n:
+        raise InputError(f"snapshot body holds {len(body)} bytes; "
+                         f"N={n} needs {24 * n}")
+    data = np.frombuffer(body, dtype="<f8").reshape(n, 3)
     return Ensemble(velocities=data.copy(), t=t)

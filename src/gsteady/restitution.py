@@ -90,13 +90,16 @@ def elastic() -> RestitutionModel:
 def eval_e(model: RestitutionModel, r):
     """Restitution coefficient at impact speed r (scalar or array)."""
     arr = np.asarray(r, dtype=float)
+    if arr.ndim == 0:
+        x = float(arr)
+        if not (math.isfinite(x) and x >= 0.0):
+            raise InputError("impact speed must be finite and non-negative")
+        return float(_kernels.eval_e_scalar(model._code, model.e0, model.a,
+                                            model.gamma, model.lambda_scale, x))
     if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
         raise InputError("impact speed must be finite and non-negative")
-    out = _kernels.eval_e_vec(model._code, model.e0, model.a, model.gamma,
-                              model.lambda_scale, arr)
-    if np.isscalar(r) or arr.ndim == 0:
-        return float(np.asarray(out).item())
-    return out
+    return _kernels.eval_e_vec(model._code, model.e0, model.a, model.gamma,
+                               model.lambda_scale, arr)
 
 
 def beta(model: RestitutionModel, r):

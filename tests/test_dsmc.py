@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from gsteady.config import build_setup, parse_config_text
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
                           load_snapshot, run_to_steady, save_snapshot, step)
-from gsteady.errors import (ConfigError, MajorantViolation, TimeStepError)
-from gsteady.restitution import elastic, power_law, viscoelastic
+from gsteady.errors import (ConfigError, InputError, MajorantViolation,
+                            TimeStepError)
+from gsteady.restitution import constant, elastic, power_law, viscoelastic
 
 
 def small_config(**kw):
@@ -29,6 +31,21 @@ def test_config_validation():
         EngineConfig(n=10, dt=0.01, mu=0.1, umax_factor=0.5)
     with pytest.raises(ConfigError):
         EngineConfig(n=10, dt=0.01, mu=0.1, window=1)
+    with pytest.raises(ConfigError):
+        EngineConfig(n=10, dt=0.01, mu=0.1, tol=0.0)
+
+
+@pytest.mark.parametrize("key", ["dt", "mu", "tol", "umax_factor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite(key, value):
+    with pytest.raises(ConfigError):
+        EngineConfig(**{"n": 10, "dt": 0.01, "mu": 0.1, key: value})
+    cfg_key = {"dt": "engine.dt", "mu": "engine.mu", "tol": "run.tol",
+               "umax_factor": "engine.umax_factor"}[key]
+    text = ("engine.N = 10\nengine.dt = 0.01\nengine.mu = 0.1\n"
+            "restitution.kind = constant\nrestitution.e0 = 0.5\n")
+    with pytest.raises(ConfigError, match=cfg_key):
+        build_setup(parse_config_text(text + f"{cfg_key} = {value}\n"))
 
 
 def test_initial_conditions():
@@ -112,12 +129,39 @@ def test_majorant_violation_raises():
             step(ens, cfg, elastic())
 
 
+def _ledger_state(ens):
+    return (ens.velocities.copy(), ens.t, ens.step_count, ens.n_candidates,
+            ens.n_collisions, ens.bath_energy, ens.collision_loss,
+            ens.recenter_energy, ens.collision_prob_ema)
+
+
+def _assert_ledger_exact(ens, e0):
+    lhs = ens.bath_energy + ens.recenter_energy - ens.collision_loss
+    assert abs(ens.energy() - e0 - lhs) <= 1e-12 * ens.energy()
+
+
+def test_failed_step_restores_state():
+    """A step that raises leaves the ensemble exactly as it found it."""
+    cfg = EngineConfig(n=2000, dt=0.01, mu=0.0, seed=4, umax_override=3.0)
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    e0 = ens.energy()
+    before = _ledger_state(ens)
+    with pytest.raises(MajorantViolation):
+        step(ens, cfg, constant(0.5))
+    after = _ledger_state(ens)
+    np.testing.assert_array_equal(after[0], before[0])
+    assert after[1:] == before[1:]
+    _assert_ledger_exact(ens, e0)
+
+
 def test_time_step_error_on_large_dt():
     cfg = small_config(n=400, dt=2.0, mu=0.0)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=4.0))
+    e0 = ens.energy()
     with pytest.raises(TimeStepError):
         for _ in range(100):
             step(ens, cfg, elastic())
+    _assert_ledger_exact(ens, e0)
 
 
 def test_elastic_no_bath_converges_immediately():
@@ -178,3 +222,15 @@ def test_snapshot_roundtrip(tmp_path):
     back = load_snapshot(path)
     np.testing.assert_array_equal(back.velocities, ens.velocities)
     assert back.t == ens.t
+
+
+@pytest.mark.parametrize("resize", [-10, 1])
+def test_snapshot_wrong_size_rejected(tmp_path, resize):
+    cfg = small_config()
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    path = tmp_path / "snap.bin"
+    save_snapshot(path, ens)
+    data = path.read_bytes()
+    path.write_bytes(data[:resize] if resize < 0 else data + b"\0" * resize)
+    with pytest.raises(InputError, match="bytes"):
+        load_snapshot(path)

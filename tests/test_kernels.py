@@ -1,0 +1,175 @@
+"""The numpy collision sweep against the sequential sweep it replaces."""
+
+import math
+
+import numpy as np
+import pytest
+
+from gsteady import _kernels, dsmc
+from gsteady.dsmc import EngineConfig, InitialCondition, initial_ensemble, step
+from gsteady.restitution import (constant, elastic, power_law, rescale,
+                                 viscoelastic)
+
+
+def reference_sweep(vel, idx_i, idx_j, accept_u, sigma, umax,
+                    kind, e0, a, gamma, lam):
+    """One candidate at a time, in order: the sweep's defining semantics."""
+    accepted = 0
+    loss = 0.0
+    for k in range(idx_i.shape[0]):
+        i = idx_i[k]
+        j = idx_j[k]
+        ux = vel[i, 0] - vel[j, 0]
+        uy = vel[i, 1] - vel[j, 1]
+        uz = vel[i, 2] - vel[j, 2]
+        un = math.sqrt(ux * ux + uy * uy + uz * uz)
+        if un > umax:
+            return accepted, loss, 1
+        if un <= 0.0 or accept_u[k] * umax >= un:
+            continue
+        sx = sigma[k, 0]
+        sy = sigma[k, 1]
+        sz = sigma[k, 2]
+        s = (ux * sx + uy * sy + uz * sz) / un
+        if s > 1.0:
+            s = 1.0
+        elif s < -1.0:
+            s = -1.0
+        impact = un * math.sqrt(0.5 * (1.0 - s))
+        e = _kernels.eval_e_scalar(kind, e0, a, gamma, lam, impact)
+        b = 0.5 * (1.0 + e)
+        hx = 0.5 * b * (ux - un * sx)
+        hy = 0.5 * b * (uy - un * sy)
+        hz = 0.5 * b * (uz - un * sz)
+        vel[i, 0] -= hx
+        vel[i, 1] -= hy
+        vel[i, 2] -= hz
+        vel[j, 0] += hx
+        vel[j, 1] += hy
+        vel[j, 2] += hz
+        loss += 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
+        accepted += 1
+    return accepted, loss, 0
+
+
+MODELS = {
+    "elastic": elastic(),
+    "constant": constant(0.5),
+    "power_law": rescale(power_law(1.0, 0.2), 0.1),
+    "viscoelastic": rescale(viscoelastic(1.0), 0.5),
+}
+EXACT = {"elastic", "constant"}
+
+
+def _model_args(model):
+    return (model._code, model.e0, model.a, model.gamma, model.lambda_scale)
+
+
+def _compare(name, vel, draw):
+    """Run both sweeps from vel on one draw; return the kernel's result."""
+    model = MODELS[name]
+    ref_vel = vel.copy()
+    new_vel = vel.copy()
+    ref = reference_sweep(ref_vel, *draw, *_model_args(model))
+    out = _kernels.apply_collisions(new_vel, *draw, *_model_args(model))
+    assert out[0] == ref[0]
+    assert out[2] == ref[2]
+    if name in EXACT:
+        assert out[1] == ref[1]
+    else:
+        assert out[1] == pytest.approx(ref[1], rel=1e-13, abs=0.0)
+    if not ref[2]:
+        if name in EXACT:
+            np.testing.assert_array_equal(new_vel, ref_vel)
+        else:
+            scale = np.max(np.abs(ref_vel))
+            assert np.max(np.abs(new_vel - ref_vel)) <= 1e-13 * scale
+    return out
+
+
+def _random_draw(rng, n, m, umax):
+    ii = rng.integers(0, n, size=m)
+    jj = rng.integers(0, n - 1, size=m)
+    jj = jj + (jj >= ii)
+    raw = rng.normal(size=(m, 3))
+    sigma = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    return ii, jj, rng.random(m), sigma, umax
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sweep_matches_reference_on_engine_draw(name, monkeypatch):
+    """One engine step at N = 1e5: the kernel sees the step's real draw."""
+    captured = {}
+    real = _kernels.apply_collisions
+
+    def spy(vel, *draw_and_model):
+        captured["vel"] = vel.copy()
+        captured["draw"] = draw_and_model[:5]
+        return real(vel, *draw_and_model)
+
+    monkeypatch.setattr(dsmc._kernels, "apply_collisions", spy)
+    cfg = EngineConfig(n=100_000, dt=0.04, mu=0.1 ** 0.2, seed=5)
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.5))
+    step(ens, cfg, MODELS[name])
+    accepted, _, violated = _compare(name, captured["vel"], captured["draw"])
+    assert violated == 0
+    assert 1000 < accepted < len(captured["draw"][0])
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sweep_matches_reference_on_long_chain(name):
+    """Four particles: nearly every candidate waits for the one before it."""
+    rng = np.random.default_rng(21)
+    n, m = 4, 400
+    vel = rng.normal(size=(n, 3))
+    # No particle is faster than sqrt(E), so no pair ever exceeds umax.
+    umax = 2.0 * math.sqrt(float(np.sum(vel * vel)))
+    ii, jj, accept_u, sigma, _ = _random_draw(rng, n, m, umax)
+    jj[::37] = ii[::37]  # self-pairs have zero relative speed and do nothing
+    levels = _kernels.collision_levels(ii, jj)
+    assert levels.max() > m // 2
+    accepted, _, violated = _compare(name, vel, (ii, jj, accept_u, sigma, umax))
+    assert violated == 0
+    assert accepted > 20
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sweep_reports_first_violation(name):
+    """Counts stop at the first violating pair in candidate order, even when
+    later pairs on lower levels, processed earlier, also violate."""
+    rng = np.random.default_rng(3)
+    vel = np.zeros((9, 3))
+    vel[:6] = 0.5 * rng.normal(size=(6, 3))
+    vel[6:] = 10.0 * np.eye(3)  # particles 6, 7, 8 are too fast for umax
+    pairs = np.array([(0, 1), (0, 1), (0, 6), (2, 3), (4, 7), (2, 5), (5, 8)])
+    ii, jj = pairs[:, 0], pairs[:, 1]
+    np.testing.assert_array_equal(_kernels.collision_levels(ii, jj),
+                                  [0, 1, 2, 0, 0, 1, 2])
+    raw = rng.normal(size=(len(pairs), 3))
+    sigma = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    draw = (ii, jj, np.zeros(len(pairs)), sigma, 5.0)
+    assert _compare(name, vel, draw)[::2] == (2, 1)
+
+
+def test_collision_levels_match_definition():
+    rng = np.random.default_rng(8)
+    n, m = 50, 2000
+    ii, jj, *_ = _random_draw(rng, n, m, 1.0)
+    levels = _kernels.collision_levels(ii, jj)
+    last = np.full(n, -1)
+    for k in range(m):
+        # Each particle's candidates sit on strictly increasing levels.
+        assert levels[k] == 1 + max(last[ii[k]], last[jj[k]])
+        last[ii[k]] = last[jj[k]] = levels[k]
+
+
+def test_viscoelastic_vec_matches_scalar():
+    r = np.concatenate([[0.0], np.logspace(-12, 12, 200_000)])
+    args = (_kernels.KIND_VISCOELASTIC, 1.0, 1.0, 0.2, 1.0)
+    vec = _kernels.eval_e_vec(*args, r)
+    ref = np.array([_kernels.eval_e_scalar(*args, x) for x in r])
+    assert vec[0] == 1.0
+    np.testing.assert_allclose(vec, ref, rtol=2e-15, atol=0.0)
+    grid = _kernels.eval_e_vec(*args, r[1:].reshape(400, 500))
+    assert grid.shape == (400, 500)
+    np.testing.assert_array_equal(grid.ravel(), vec[1:])
