@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import build_setup, load_config, serialize_config
 from .dissipation import DissipationSpec, steady_temperature_ansatz, theta_limit
-from .dsmc import SERIES_COLUMNS, run_to_steady, save_snapshot
+from .dsmc import SERIES_COLUMNS, run_many, run_to_steady, save_snapshot
 from .errors import ConfigError, InputError
 from .observables import default_tail_rate, maxwellian_distance, tail_integral
 from .restitution import rescale
@@ -96,25 +97,27 @@ def sweep_lambda(config_path, lambdas, out):
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
+    bad = [lam for lam in lambdas if not 0.0 < lam <= 1.0]
+    if bad:
+        click.echo(f"lambda {bad[0]} outside (0, 1]", err=True)
+        sys.exit(1)
     model = setup.model
     theta = theta_limit(model.a, model.gamma).theta
-    rows = []
+    spec = DissipationSpec(model)
+    jobs = []
     for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            click.echo(f"lambda {lam} outside (0, 1]", err=True)
-            sys.exit(1)
         model_l = rescale(model, lam) if lam < 1.0 else model
-        mu_l = lam ** model.gamma
-        cfg = dataclasses.replace(setup.engine, mu=mu_l)
+        cfg = dataclasses.replace(setup.engine, mu=lam ** model.gamma)
         init = dataclasses.replace(
-            setup.init,
-            t0=steady_temperature_ansatz(DissipationSpec(model), lam))
-        ens, report = run_to_steady(cfg, model_l, init)
+            setup.init, t0=steady_temperature_ansatz(spec, lam))
+        jobs.append((cfg, model_l, init))
+    rows = []
+    for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, run_many(jobs)):
         dist = maxwellian_distance(ens, theta)
         tail = tail_integral(ens, default_tail_rate(ens))
         rows.append((lam, report.temperature, theta, dist.d_moment, dist.d_hist,
                      report.moments[3.0], tail.value, report.diss_estimate,
-                     6.0 * mu_l, int(report.converged)))
+                     6.0 * cfg.mu, int(report.converged)))
     cols = ("lambda", "temperature", "theta_oracle", "d_moment", "d_hist",
             "m3", "tail_value", "diss_estimate", "six_mu", "converged")
     write_csv(out, cols, rows, _manifest_line(values, extra=str(lambdas)))
@@ -207,13 +210,14 @@ def uniqueness_probe(config_path, inits, seeds):
     if len(inits) < 2:
         click.echo("need at least two initial conditions", err=True)
         sys.exit(1)
+    jobs = [(dataclasses.replace(setup.engine, seed=setup.engine.seed + k),
+             setup.model, dataclasses.replace(setup.init, kind=kind))
+            for kind in inits for k in range(seeds)]
     results = {}
+    runs = zip(jobs, run_many(jobs))
     for kind in inits:
         temps, m2s = [], []
-        for k in range(seeds):
-            cfg = dataclasses.replace(setup.engine, seed=setup.engine.seed + k)
-            init = dataclasses.replace(setup.init, kind=kind)
-            _, report = run_to_steady(cfg, setup.model, init)
+        for (cfg, _, _), (_, report) in itertools.islice(runs, seeds):
             if not report.converged:
                 click.echo(f"init {kind} seed {cfg.seed}: not converged", err=True)
                 sys.exit(2)

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from .errors import InputError
+from .kinematics import gauss_laguerre, gauss_legendre
 from .restitution import RestitutionModel, eval_e
 
 
@@ -37,7 +38,7 @@ class DissipationSpec:
             raise InputError("Psi_e quadrature needs at least 8 nodes")
         object.__setattr__(self, "a", self.model.a)
         object.__setattr__(self, "gamma", self.model.gamma)
-        z, w = np.polynomial.legendre.leggauss(self.n_z)
+        z, w = gauss_legendre(self.n_z)
         object.__setattr__(self, "_z", 0.5 * (z + 1.0))
         object.__setattr__(self, "_wz", 0.5 * w)
 
@@ -141,7 +142,7 @@ def gaussian_pair_average(zeta, theta: float, n_nodes: int = 100) -> float:
 
     Gauss-Laguerre quadrature over the chi-square law of |V - V*|^2 / (4 theta).
     """
-    x, w = np.polynomial.laguerre.laggauss(n_nodes)
+    x, w = gauss_laguerre(n_nodes)
     dens = 2.0 / np.sqrt(np.pi) * np.sqrt(x)
     return float(np.sum(w * dens * zeta(4.0 * theta * x)))
 

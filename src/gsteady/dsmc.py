@@ -5,13 +5,15 @@ Euler-Maruyama form of the Laplacian forcing), a majorant-rate collision
 sweep (Poisson candidate count, acceptance |u|/U_max, uniform scattering
 direction) and an optional momentum recentering.  All randomness comes
 from counter-based Philox streams keyed by (seed, step, substream), so a
-run is bit-reproducible from its configuration alone.
+run is bit-reproducible from its configuration alone.  Independent runs go
+through run_many, which spreads them over a fork process pool.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -27,7 +29,16 @@ _STREAM_COLLIDE = 1
 _STREAM_INIT = 2
 _STREAM_DIAG = 3
 
-SNAPSHOT_MAGIC = "GSTEADY1"
+SNAPSHOT_MAGIC = "GSTEADY2"
+# Ensemble fields each snapshot format carries besides N, as (ints, floats).
+# GSTEADY1 has only the clock; GSTEADY2 adds the step count and the ledger, so
+# a loaded ensemble resumes the Philox streams where it stopped.
+_SNAPSHOT_FIELDS = {
+    "GSTEADY1": ((), ("t",)),
+    "GSTEADY2": (("step_count", "n_candidates", "n_collisions"),
+                 ("t", "bath_energy", "collision_loss", "recenter_energy",
+                  "collision_prob_ema")),
+}
 
 
 def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
@@ -302,23 +313,62 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
     return ens, report
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def run_many(jobs) -> list:
+    """run_to_steady for each (config, model, init) job, in job order.
+
+    The jobs run in a fork process pool with one worker per usable core (at
+    most one per job), or in this process when that is one worker or the
+    platform cannot fork.  Each run depends only on its job, so the results
+    are bit-identical for any worker count; a worker's exception reaches the
+    caller with its original type.
+    """
+    jobs = list(jobs)
+    workers = min(_usable_cores(), len(jobs))
+    if workers > 1:
+        # Imported here: these modules add about 0.6 MB to a process, and
+        # most processes (simulate, verify) never start a pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                return list(pool.map(run_to_steady, *zip(*jobs)))
+    return [run_to_steady(*job) for job in jobs]
+
+
 def save_snapshot(path, ens: Ensemble) -> None:
-    """Header line plus raw little-endian float64 velocities."""
-    header = f"{SNAPSHOT_MAGIC} N={ens.n} t={ens.t!r}\n"
+    """Header line (size, clock and ledger) plus raw little-endian float64
+    velocities."""
+    ints, floats = _SNAPSHOT_FIELDS[SNAPSHOT_MAGIC]
+    fields = [f"N={ens.n}"]
+    fields += [f"{name}={int(getattr(ens, name))}" for name in ints]
+    fields += [f"{name}={float(getattr(ens, name))!r}" for name in floats]
+    header = f"{SNAPSHOT_MAGIC} {' '.join(fields)}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.ascontiguousarray(ens.velocities, dtype="<f8").tobytes())
 
 
 def load_snapshot(path) -> Ensemble:
+    """Read a GSTEADY2 snapshot, or a GSTEADY1 one (clock only, empty
+    ledger)."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
-        if not header or header[0] != SNAPSHOT_MAGIC:
+        if not header or header[0] not in _SNAPSHOT_FIELDS:
             raise InputError("not a gsteady snapshot")
+        ints, floats = _SNAPSHOT_FIELDS[header[0]]
         try:
             fields = dict(item.split("=", 1) for item in header[1:])
             n = int(fields["N"])
-            t = float(fields["t"])
+            state = {name: int(fields[name]) for name in ints}
+            state.update((name, float(fields[name])) for name in floats)
         except (KeyError, ValueError):
             raise InputError("malformed snapshot header") from None
         body = fh.read()
@@ -326,4 +376,4 @@ def load_snapshot(path) -> Ensemble:
         raise InputError(f"snapshot body holds {len(body)} bytes; "
                          f"N={n} needs {24 * n}")
     data = np.frombuffer(body, dtype="<f8").reshape(n, 3)
-    return Ensemble(velocities=data.copy(), t=t)
+    return Ensemble(velocities=data.copy(), **state)

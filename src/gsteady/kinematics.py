@@ -8,6 +8,7 @@ according to the velocity-dependent restitution law.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,26 @@ from .errors import InputError
 from .restitution import RestitutionModel, beta, eval_e
 
 UNIT_TOL = 1e-12
+
+
+def _frozen_rule(nodes: np.ndarray, weights: np.ndarray):
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+@functools.cache
+def gauss_legendre(n: int):
+    """Read-only n-point Gauss-Legendre (nodes, weights) on [-1, 1], built
+    once."""
+    return _frozen_rule(*np.polynomial.legendre.leggauss(n))
+
+
+@functools.cache
+def gauss_laguerre(n: int):
+    """Read-only n-point Gauss-Laguerre (nodes, weights) for exp(-x) on
+    [0, inf), built once."""
+    return _frozen_rule(*np.polynomial.laguerre.laggauss(n))
 
 
 @dataclass(frozen=True)
@@ -32,7 +53,7 @@ class AngularQuadrature:
             raise InputError("angular quadrature needs at least 2 nodes")
         if self.n_phi < 1:
             raise InputError("azimuthal rule needs at least 1 node")
-        nodes, weights = np.polynomial.legendre.leggauss(self.n_s)
+        nodes, weights = gauss_legendre(self.n_s)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .kinematics import AngularQuadrature, post_collision_grid
+from .kinematics import AngularQuadrature, gauss_legendre, post_collision_grid
 from .restitution import RestitutionModel, beta as beta_fn
 
 
@@ -74,7 +74,7 @@ def gain_upper_bound(v, vstar, p: float, n_nodes: int = 128) -> float:
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     e_tot = float(v @ v + vstar @ vstar)
-    s, w = np.polynomial.legendre.leggauss(n_nodes)
+    s, w = gauss_legendre(n_nodes)
     s = 0.5 * (s + 1.0)
     w = 0.5 * w
     vals = (e_tot * (3.0 + s) / 4.0) ** p + (e_tot * (1.0 - s) / 4.0) ** p

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsmc import EngineConfig, Ensemble, InitialCondition, run_to_steady
+from .dsmc import EngineConfig, Ensemble, InitialCondition, run_many
 from .errors import InputError
 from .restitution import RestitutionModel, rescale
 
@@ -75,31 +75,31 @@ def scaling_equivalence_test(config_base: EngineConfig, model: RestitutionModel,
     Side A runs the physical problem with bath lambda^{3+gamma} and
     rescales the steady ensemble by lambda; side B runs the rescaled
     model with bath lambda^gamma.  Per-moment two-sample z-scores over
-    the seed replicas are returned.
+    the seed replicas are returned.  Both sides of every seed run as
+    separate jobs of dsmc.run_many.
     """
     if not 0.0 < lam <= 1.0:
         raise InputError("lambda must lie in (0, 1]")
     gamma = model.gamma
     mu_a = lam ** (3.0 + gamma)
     mu_b = lam ** gamma
-    mom_a, mom_b = [], []
-    ok = True
+    model_b = rescale(model, lam) if lam < 1.0 else model
+    jobs = []
     for seed in seeds:
         # Physical side: speeds are smaller by lam, so stretch dt to keep
         # the per-step collision budget comparable.
         cfg_a = dataclasses.replace(config_base, mu=mu_a, seed=int(seed),
                                     dt=config_base.dt / lam)
-        ens_a, rep_a = run_to_steady(
-            cfg_a, model, InitialCondition("maxwellian", t0=lam * lam * init_t0))
-        ok = ok and rep_a.converged
-        mom_a.append(_moment_vector(rescale_ensemble(ens_a, lam).velocities, p_set))
-
+        jobs.append((cfg_a, model,
+                     InitialCondition("maxwellian", t0=lam * lam * init_t0)))
         cfg_b = dataclasses.replace(config_base, mu=mu_b, seed=int(seed) + 7919)
-        model_b = rescale(model, lam) if lam < 1.0 else model
-        ens_b, rep_b = run_to_steady(
-            cfg_b, model_b, InitialCondition("maxwellian", t0=init_t0))
-        ok = ok and rep_b.converged
-        mom_b.append(_moment_vector(ens_b.velocities, p_set))
+        jobs.append((cfg_b, model_b,
+                     InitialCondition("maxwellian", t0=init_t0)))
+    runs = run_many(jobs)
+    ok = all(rep.converged for _, rep in runs)
+    mom_a = [_moment_vector(rescale_ensemble(ens, lam).velocities, p_set)
+             for ens, _ in runs[0::2]]
+    mom_b = [_moment_vector(ens.velocities, p_set) for ens, _ in runs[1::2]]
 
     a = np.array(mom_a)
     b = np.array(mom_b)

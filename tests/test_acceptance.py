@@ -21,7 +21,7 @@ from gsteady import verify as verify_mod
 from gsteady.dissipation import (DissipationSpec, psi_e,
                                  steady_temperature_ansatz, theta_limit)
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
-                          run_to_steady, save_snapshot, step)
+                          run_many, run_to_steady, save_snapshot, step)
 from gsteady.kinematics import AngularQuadrature, angular_average
 from gsteady.observables import (maxwellian_distance, moments, tail_integral)
 from gsteady.povzner import battery, gain_term, gain_upper_bound
@@ -62,13 +62,14 @@ def sweep():
     rate = 0.1 * (3.0 * steady_temperature_ansatz(spec, SWEEP_LAMBDAS[0])) ** -0.75
     rows = []
     start = time.time()
-    for i, lam in enumerate(SWEEP_LAMBDAS):
-        cfg = EngineConfig(n=100_000, dt=0.04, mu=lam ** MODEL.gamma,
-                           seed=30 + i, max_steps=3000, window=80,
-                           sample_every=5, tol=0.005)
-        t0 = steady_temperature_ansatz(spec, lam)
-        ens, rep = run_to_steady(cfg, rescale(MODEL, lam),
-                                 InitialCondition("maxwellian", t0=t0))
+    jobs = [(EngineConfig(n=100_000, dt=0.04, mu=lam ** MODEL.gamma,
+                          seed=30 + i, max_steps=3000, window=80,
+                          sample_every=5, tol=0.005),
+             rescale(MODEL, lam),
+             InitialCondition("maxwellian",
+                              t0=steady_temperature_ansatz(spec, lam)))
+            for i, lam in enumerate(SWEEP_LAMBDAS)]
+    for lam, (ens, rep) in zip(SWEEP_LAMBDAS, run_many(jobs)):
         dist = maxwellian_distance(ens, THETA)
         mom = moments(ens)
         rows.append(dict(lam=lam, temperature=rep.temperature,
@@ -285,17 +286,14 @@ def test_criterion_10_uniqueness_probe():
         "bimodal": InitialCondition("bimodal", v0=math.sqrt(3.0 * t_ansatz)),
     }
     start = time.time()
+    runs = run_many([(dataclasses.replace(base, seed=100 + k), model_l, ic)
+                     for ic in inits.values() for k in range(4)])
+    conv = all(rep.converged for _, rep in runs)
     stats = {}
-    conv = True
-    for name, ic in inits.items():
-        temps, m2s = [], []
-        for k in range(4):
-            cfg = dataclasses.replace(base, seed=100 + k)
-            _, rep = run_to_steady(cfg, model_l, ic)
-            conv = conv and rep.converged
-            temps.append(rep.temperature)
-            m2s.append(rep.moments[2.0])
-        stats[name] = (np.array(temps), np.array(m2s))
+    for i, name in enumerate(inits):
+        reps = [rep for _, rep in runs[4 * i:4 * i + 4]]
+        stats[name] = (np.array([rep.temperature for rep in reps]),
+                       np.array([rep.moments[2.0] for rep in reps]))
     zs = {}
     for idx, label in ((0, "T"), (1, "m2")):
         x, y = stats["maxwellian"][idx], stats["bimodal"][idx]

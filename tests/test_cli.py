@@ -159,6 +159,21 @@ def test_sweep_lambda_single(runner, tmp_path):
     assert bad.exit_code == 1
 
 
+def test_sweep_lambda_rejects_bad_lambda_before_running(runner, tmp_path,
+                                                       monkeypatch):
+    """Every lambda is checked before any run, so nothing is run or written."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    cfg = write(tmp_path, BASE_CONFIG)
+    out = tmp_path / "sweep.csv"
+    bad = runner.invoke(main, ["sweep-lambda", cfg, "-l", "0.5", "-l", "1.7",
+                               "--out", str(out)])
+    assert bad.exit_code == 1
+    assert "lambda 1.7 outside (0, 1]" in bad.output
+    assert runs == []
+    assert not out.exists()
+
+
 def test_snapshot_determinism_via_cli(runner, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG.replace("engine.mu = 0.0",
                                               "engine.mu = 0.1"))

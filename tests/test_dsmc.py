@@ -1,13 +1,15 @@
 import copy
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from gsteady.config import build_setup, parse_config_text
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
-                          load_snapshot, run_to_steady, save_snapshot, step)
+                          load_snapshot, run_many, run_to_steady,
+                          save_snapshot, step)
 from gsteady.errors import (ConfigError, InputError, MajorantViolation,
                             TimeStepError)
 from gsteady.restitution import constant, elastic, power_law, viscoelastic
@@ -218,10 +220,45 @@ def test_snapshot_roundtrip(tmp_path):
     save_snapshot(path, ens)
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii")
-    assert header.startswith(f"GSTEADY1 N={cfg.n} t=")
+    assert header.startswith(f"GSTEADY2 N={cfg.n} step_count=10 ")
     back = load_snapshot(path)
     np.testing.assert_array_equal(back.velocities, ens.velocities)
-    assert back.t == ens.t
+    assert _ledger_state(back)[1:] == _ledger_state(ens)[1:]
+
+
+def test_snapshot_reads_gsteady1(tmp_path):
+    """The older header carries only N and t; the ledger starts empty."""
+    vel = np.arange(12, dtype=float).reshape(4, 3)
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"GSTEADY1 N=4 t=0.25\n" + vel.astype("<f8").tobytes())
+    back = load_snapshot(path)
+    np.testing.assert_array_equal(back.velocities, vel)
+    assert back.t == 0.25
+    assert back.step_count == 0 and back.collision_loss == 0.0
+
+
+def test_snapshot_resume_bit_identical(tmp_path):
+    """7 steps, save, load, 5 more steps equals 12 uninterrupted steps."""
+    cfg = small_config(seed=31, dt=0.05)
+    model = power_law(1.0, 0.2)
+    init = InitialCondition("maxwellian", t0=1.0)
+    ref = initial_ensemble(cfg, init)
+    e0 = ref.energy()
+    for _ in range(12):
+        step(ref, cfg, model)
+    ens = initial_ensemble(cfg, init)
+    for _ in range(7):
+        step(ens, cfg, model)
+    path = tmp_path / "snap.bin"
+    save_snapshot(path, ens)
+    resumed = load_snapshot(path)
+    for _ in range(5):
+        step(resumed, cfg, model)
+    got, want = _ledger_state(resumed), _ledger_state(ref)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    assert resumed.n_collisions > 0
+    _assert_ledger_exact(resumed, e0)
 
 
 @pytest.mark.parametrize("resize", [-10, 1])
@@ -234,3 +271,42 @@ def test_snapshot_wrong_size_rejected(tmp_path, resize):
     path.write_bytes(data[:resize] if resize < 0 else data + b"\0" * resize)
     with pytest.raises(InputError, match="bytes"):
         load_snapshot(path)
+
+
+def _jobs():
+    return [
+        (small_config(seed=1), power_law(1.0, 0.2),
+         InitialCondition("maxwellian", t0=1.0)),
+        (small_config(seed=2, n=300), viscoelastic(1.0),
+         InitialCondition("bimodal", v0=1.5)),
+        (small_config(seed=3), constant(0.7),
+         InitialCondition("uniform_ball", radius=2.0)),
+    ]
+
+
+def _assert_runs_equal(got, want):
+    assert len(got) == len(want)
+    for (ens, rep), (ens_ref, rep_ref) in zip(got, want):
+        np.testing.assert_array_equal(ens.velocities, ens_ref.velocities)
+        assert _ledger_state(ens)[1:] == _ledger_state(ens_ref)[1:]
+        assert rep.series == rep_ref.series
+        assert (rep.temperature, rep.steps, rep.converged) == (
+            rep_ref.temperature, rep_ref.steps, rep_ref.converged)
+
+
+@pytest.mark.parametrize("cores", [3, 1])
+def test_run_many_matches_serial(monkeypatch, cores):
+    """Pool (3 workers) and in-process (1 core) both equal serial runs."""
+    serial = [run_to_steady(*job) for job in _jobs()]
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    _assert_runs_equal(run_many(_jobs()), serial)
+
+
+def test_run_many_reraises_worker_error(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    bad = (small_config(n=400, dt=2.0, mu=0.0), elastic(),
+           InitialCondition("maxwellian", t0=4.0))
+    with pytest.raises(TimeStepError):
+        run_many([_jobs()[0], bad])

@@ -4,8 +4,8 @@ import pytest
 from gsteady.dissipation import DissipationSpec, psi_e
 from gsteady.errors import InputError
 from gsteady.kinematics import (AngularQuadrature, angular_average,
-                                energy_loss, post_collision_nhat,
-                                post_collision_sigma)
+                                energy_loss, gauss_laguerre, gauss_legendre,
+                                post_collision_nhat, post_collision_sigma)
 from gsteady.restitution import constant, elastic, viscoelastic
 
 from conftest import random_unit
@@ -21,6 +21,25 @@ def test_quadrature_invariants():
         AngularQuadrature(n_s=1)
     with pytest.raises(InputError):
         AngularQuadrature(n_phi=0)
+
+
+@pytest.mark.parametrize("rule, reference", [
+    (gauss_legendre, np.polynomial.legendre.leggauss),
+    (gauss_laguerre, np.polynomial.laguerre.laggauss),
+])
+@pytest.mark.parametrize("n", [8, 64, 100])
+def test_cached_gauss_rules(rule, reference, n):
+    """Cached rules equal numpy's bit for bit, are shared and read-only."""
+    nodes, weights = rule(n)
+    ref_nodes, ref_weights = reference(n)
+    np.testing.assert_array_equal(nodes, ref_nodes)
+    np.testing.assert_array_equal(weights, ref_weights)
+    assert rule(n)[0] is nodes
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        AngularQuadrature(n_s=n).nodes[0] = 0.0
 
 
 def test_grazing_no_change():
