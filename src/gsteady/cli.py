@@ -23,8 +23,9 @@ from .config import build_setup, load_config, serialize_config
 from .dissipation import DissipationSpec, steady_temperature_ansatz, theta_limit
 from .dsmc import SERIES_COLUMNS, run_many, run_to_steady, save_snapshot
 from .errors import ConfigError, InputError
-from .observables import default_tail_rate, maxwellian_distance, tail_integral
+from .observables import maxwellian_distance
 from .restitution import rescale
+from .scaling import two_sample_z
 from . import povzner as povzner_mod
 from . import verify as verify_mod
 
@@ -114,9 +115,8 @@ def sweep_lambda(config_path, lambdas, out):
     rows = []
     for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, run_many(jobs)):
         dist = maxwellian_distance(ens, theta)
-        tail = tail_integral(ens, default_tail_rate(ens))
         rows.append((lam, report.temperature, theta, dist.d_moment, dist.d_hist,
-                     report.moments[3.0], tail.value, report.diss_estimate,
+                     report.moments[3.0], report.tail_value, report.diss_estimate,
                      6.0 * cfg.mu, int(report.converged)))
     cols = ("lambda", "temperature", "theta_oracle", "d_moment", "d_hist",
             "m3", "tail_value", "diss_estimate", "six_mu", "converged")
@@ -210,6 +210,9 @@ def uniqueness_probe(config_path, inits, seeds):
     if len(inits) < 2:
         click.echo("need at least two initial conditions", err=True)
         sys.exit(1)
+    if seeds < 2:
+        click.echo("need at least two seeds per initial condition", err=True)
+        sys.exit(1)
     jobs = [(dataclasses.replace(setup.engine, seed=setup.engine.seed + k),
              setup.model, dataclasses.replace(setup.init, kind=kind))
             for kind in inits for k in range(seeds)]
@@ -228,9 +231,7 @@ def uniqueness_probe(config_path, inits, seeds):
     worst = 0.0
     for kind in inits[1:]:
         for idx, label in ((0, "temperature"), (1, "m2")):
-            x, y = results[ref][idx], results[kind][idx]
-            se = math.sqrt(x.var(ddof=1) / len(x) + y.var(ddof=1) / len(y))
-            z = abs(float(x.mean() - y.mean()) / se) if se > 0 else 0.0
+            z = abs(two_sample_z(results[ref][idx], results[kind][idx]))
             worst = max(worst, z)
             click.echo(f"{ref} vs {kind} {label}: z={z:.2f}")
     sys.exit(0 if worst < 3.0 else 1)

@@ -21,6 +21,10 @@ from .errors import InputError
 from .kinematics import gauss_laguerre, gauss_legendre
 from .restitution import RestitutionModel, eval_e
 
+# Rows of psi_e's argument evaluated together, so that its (rows x n_z)
+# quadrature temporaries stay a few MB whatever the input size.
+PSI_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class DissipationSpec:
@@ -48,13 +52,14 @@ def psi_e(spec: DissipationSpec, r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0.0):
         raise InputError("psi_e argument must be non-negative")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    speeds = np.sqrt(arr)[..., None] * spec._z
-    e = eval_e(spec.model, speeds)
-    out = 0.5 * arr ** 1.5 * np.sum((1.0 - e * e) * spec._z ** 3 * spec._wz,
-                                    axis=-1)
-    return float(out[0]) if scalar else out
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, PSI_BLOCK):
+        blk = flat[start:start + PSI_BLOCK]
+        e = eval_e(spec.model, np.sqrt(blk)[:, None] * spec._z)
+        out[start:start + PSI_BLOCK] = 0.5 * blk ** 1.5 * np.sum(
+            (1.0 - e * e) * spec._z ** 3 * spec._wz, axis=-1)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def zeta_lambda(spec: DissipationSpec, lam: float, r2):
@@ -112,7 +117,6 @@ class ThetaResult:
 
     theta: float
     theta_paper_formula: float
-    method: str = "closed-form-oracle"
 
 
 def maxwell_relative_speed_moment(theta: float, q: float) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 from . import _kernels
 from .dissipation import DissipationSpec, dissipation_functional, psi_e
 from .errors import ConfigError, InputError, MajorantViolation, TimeStepError
+from .observables import DEFAULT_P_SET, default_tail_rate, moments, tail_integral
 from .restitution import RestitutionModel
 
 _STREAM_BATH = 0
@@ -259,14 +260,9 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
         step(ens, config, model)
         if ens.step_count % config.sample_every != 0:
             continue
-        vel = ens.velocities
-        sq = np.einsum("ij,ij->i", vel, vel)
-        m1 = float(np.mean(sq))
-        row = (ens.step_count, ens.t, m1,
-               float(np.mean(sq ** 1.5)), float(np.mean(sq ** 2)),
-               float(np.mean(sq ** 3)),
+        row = (ens.step_count, ens.t, *moments(ens).moments.values(),
                dissipation_functional(
-                   vel, lambda r2: psi_e(spec, r2),
+                   ens.velocities, lambda r2: psi_e(spec, r2),
                    n_pairs=None if ens.n * (ens.n - 1) // 2 <= config.diss_pairs
                    else config.diss_pairs,
                    rng=_stream(config.seed, ens.step_count, _STREAM_DIAG)),
@@ -290,20 +286,14 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
     window = series[-config.window:] if series else []
     arr = np.array(window) if window else np.zeros((0, len(SERIES_COLUMNS)))
     means = arr.mean(axis=0) if len(arr) else np.full(len(SERIES_COLUMNS), np.nan)
-    sq = np.einsum("ij,ij->i", ens.velocities, ens.velocities)
-    m1_now = float(np.mean(sq))
-    tail_a = 0.1 * m1_now ** -0.75 if m1_now > 0 else 0.0
-    weights = np.exp(tail_a * sq ** 0.75)
-    tail_value = float(np.mean(weights))
-    tail_share = float(np.max(weights) / np.sum(weights))
+    tail = tail_integral(ens, default_tail_rate(ens))
     report = SteadyReport(
         temperature=float(means[2]) / 3.0,
-        moments={1.0: float(means[2]), 1.5: float(means[3]),
-                 2.0: float(means[4]), 3.0: float(means[5])},
+        moments=dict(zip(DEFAULT_P_SET, map(float, means[2:6]))),
         diss_estimate=float(means[6]),
-        tail_a=tail_a,
-        tail_value=tail_value,
-        tail_max_share=tail_share,
+        tail_a=tail.a,
+        tail_value=tail.value,
+        tail_max_share=tail.max_share,
         steps=ens.step_count,
         converged=converged,
         accept_ratio=ens.accept_ratio(),

@@ -58,6 +58,11 @@ class AngularQuadrature:
         object.__setattr__(self, "weights", weights)
 
 
+def sq_norm(w):
+    """Squared length over the last axis: (..., 3) -> (...)."""
+    return np.einsum("...k,...k->...", w, w)
+
+
 def _check_unit(vec: np.ndarray, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (3,):
@@ -112,61 +117,69 @@ def energy_loss(v, vstar, sigma, model: RestitutionModel) -> float:
     return 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
 
 
-def _orthonormal_frame(uhat: np.ndarray):
-    pick = np.array([1.0, 0.0, 0.0])
-    if abs(uhat[0]) > 0.9:
-        pick = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(uhat, pick)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(uhat, e1)
-    return e1, e2
-
-
 def post_collision_grid(v, vstar, model: RestitutionModel,
                         quad: AngularQuadrature):
     """Post-collision velocities on the full sigma quadrature grid.
 
-    Returns (vp, vps, w) with vp, vps of shape (n_s, n_phi, 3) and weights
-    w of shape (n_s,) normalized so that sum(w) / n_phi == 1, i.e. the pair
+    v, vstar are one pair of shape (3,) or a batch of shape (m, 3).  Returns
+    (vp, vps, w) with vp, vps of shape (..., n_s, n_phi, 3) and weights w of
+    shape (n_s,) normalized so that sum(w) / n_phi == 1, i.e. the pair
     (w, uniform azimuth) integrates the isotropic kernel 1/(4 pi) d sigma.
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     u = v - vstar
-    un = float(np.linalg.norm(u))
-    if un == 0.0:
+    un = np.linalg.norm(u, axis=-1)
+    if np.any(un == 0.0):
         raise InputError("angular grid undefined for zero relative velocity")
-    uhat = u / un
-    e1, e2 = _orthonormal_frame(uhat)
+    uhat = u / un[..., None]
+    # Orthonormal frame (uhat, e1, e2) around each relative velocity.
+    pick = np.where(np.abs(uhat[..., :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(uhat, pick)
+    e1 /= np.linalg.norm(e1, axis=-1)[..., None]
+    e2 = np.cross(uhat, e1)
     s = quad.nodes
     w = 0.5 * quad.weights
     phi = 2.0 * np.pi * np.arange(quad.n_phi) / quad.n_phi
     sin_t = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
-    # sigma[i, j] = s_i uhat + sin_i (cos phi_j e1 + sin phi_j e2)
-    sigma = (s[:, None, None] * uhat
-             + sin_t[:, None, None] * (np.cos(phi)[None, :, None] * e1
-                                       + np.sin(phi)[None, :, None] * e2))
-    impact = un * np.sqrt(0.5 * (1.0 - s))
+    # sigma[..., i, j, :] = s_i uhat + sin_i (cos phi_j e1 + sin phi_j e2)
+    sigma = (s[:, None, None] * uhat[..., None, None, :]
+             + sin_t[:, None, None] * (np.cos(phi)[:, None] * e1[..., None, None, :]
+                                       + np.sin(phi)[:, None] * e2[..., None, None, :]))
+    impact = un[..., None] * np.sqrt(0.5 * (1.0 - s))
     b = np.asarray(beta(model, impact))
-    h = 0.5 * b[:, None, None] * (u - un * sigma)
-    return v - h, vstar + h, w
+    h = 0.5 * b[..., None, None] * (u[..., None, None, :]
+                                    - un[..., None, None, None] * sigma)
+    return v[..., None, None, :] - h, vstar[..., None, None, :] + h, w
+
+
+def gain_average(psi, v, vstar, model: RestitutionModel,
+                 quad: AngularQuadrature | None = None):
+    """Isotropic sphere average of psi(v') + psi(v'*).
+
+    v, vstar are one pair (3,) or a batch (m, 3); psi must accept an array
+    of shape (..., 3) and return shape (...) or (..., k), and the result has
+    the batch shape followed by psi's trailing shape.
+    """
+    if quad is None:
+        quad = AngularQuadrature()
+    vp, vps, w = post_collision_grid(v, vstar, model, quad)
+    vals = np.asarray(psi(vp)) + np.asarray(psi(vps))
+    # Gauss-Legendre in cos(theta) over axis `lead`, uniform in azimuth.
+    lead = np.ndim(v) - 1
+    return np.tensordot(w, vals.mean(axis=lead + 1), axes=(0, lead))
 
 
 def angular_average(psi, v, vstar, model: RestitutionModel,
                     quad: AngularQuadrature | None = None):
     """Isotropic sphere average of psi(v') + psi(v'*) - psi(v) - psi(v*).
 
-    psi must accept an array of shape (..., 3) and return shape (...) or
-    (..., k); the average is taken with the uniform kernel 1/(4 pi).
+    Takes one pair or a batch, as gain_average does.  A single pair with
+    v == v* gives zeros; a batch must not contain one.
     """
-    if quad is None:
-        quad = AngularQuadrature()
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
-    if np.array_equal(v, vstar):
+    if v.ndim == 1 and np.array_equal(v, vstar):
         return np.zeros_like(np.asarray(psi(v)))
-    vp, vps, w = post_collision_grid(v, vstar, model, quad)
-    vals = np.asarray(psi(vp)) + np.asarray(psi(vps))
-    # Average: Gauss-Legendre in cos(theta), uniform in azimuth.
-    avg = np.tensordot(w, vals.mean(axis=1), axes=(0, 0))
-    return avg - np.asarray(psi(v)) - np.asarray(psi(vstar))
+    return (gain_average(psi, v, vstar, model, quad)
+            - np.asarray(psi(v)) - np.asarray(psi(vstar)))

@@ -7,8 +7,6 @@ and the composed map whose Jacobian is bounded universally in [1/8, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -18,33 +16,26 @@ from .restitution import theta as theta_map
 ROOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MapBundle:
-    """Maps derived from one restitution model."""
-
-    model: RestitutionModel
-
-
-def eta_e(bundle: MapBundle, r: float) -> float:
+def eta_e(model: RestitutionModel, r: float) -> float:
     """r * beta(r); sandwiched between r/2 and r."""
     if r < 0.0:
         raise InputError("eta_e argument must be non-negative")
-    return float(r * beta(bundle.model, r))
+    return float(r * beta(model, r))
 
 
-def alpha_e(bundle: MapBundle, s: float) -> float:
+def alpha_e(model: RestitutionModel, s: float) -> float:
     """Inverse of eta_e, bracketed on [s, 2s] by the sandwich bounds."""
     if s < 0.0:
         raise InputError("alpha_e argument must be non-negative")
     if s == 0.0:
         return 0.0
     lo, hi = s, 2.0 * s
-    flo = eta_e(bundle, lo) - s
+    flo = eta_e(model, lo) - s
     if flo == 0.0:
         return lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if eta_e(bundle, mid) - s <= 0.0:
+        if eta_e(model, mid) - s <= 0.0:
             lo = mid
         else:
             hi = mid
@@ -53,22 +44,22 @@ def alpha_e(bundle: MapBundle, s: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def theta_prime(bundle: MapBundle, r: float, scale: float | None = None) -> float:
+def theta_prime(model: RestitutionModel, r: float,
+                scale: float | None = None) -> float:
     """Central finite difference of r -> r e(r)."""
     h = max(1e-6, 1e-6 * (r if scale is None else scale))
     lo = max(r - h, 0.0)
     hi = r + h
-    model = bundle.model
     return float((theta_map(model, hi) - theta_map(model, lo)) / (hi - lo))
 
 
-def jacobian_Je(bundle: MapBundle, rho: float) -> float:
+def jacobian_Je(model: RestitutionModel, rho: float) -> float:
     """Jacobian of the radial contraction at radius rho; lies in [1/8, 1]."""
     if rho < 0.0:
         raise InputError("jacobian argument must be non-negative")
-    r = alpha_e(bundle, rho)
-    b = float(beta(bundle.model, r))
-    return 0.5 * (1.0 + theta_prime(bundle, r)) * b * b
+    r = alpha_e(model, rho)
+    b = float(beta(model, r))
+    return 0.5 * (1.0 + theta_prime(model, r)) * b * b
 
 
 def phi_sigma(u, sigma):
@@ -91,22 +82,22 @@ def varphi_sigma(w, sigma, tol: float = 1e-12):
     return 2.0 * w - (wn / cos) * sigma
 
 
-def pi_forward(bundle: MapBundle, w):
+def pi_forward(model: RestitutionModel, w):
     """Radial contraction w -> beta(|w|) w."""
     w = np.asarray(w, dtype=float)
     wn = np.linalg.norm(w)
     if wn == 0.0:
         return np.zeros(3)
-    return float(beta(bundle.model, wn)) * w
+    return float(beta(model, wn)) * w
 
 
-def pi_inverse(bundle: MapBundle, z):
+def pi_inverse(model: RestitutionModel, z):
     """Inverse contraction z -> (alpha(|z|)/|z|) z; fixes the origin."""
     z = np.asarray(z, dtype=float)
     zn = np.linalg.norm(z)
     if zn == 0.0:
         return np.zeros(3)
-    return (alpha_e(bundle, zn) / zn) * z
+    return (alpha_e(model, zn) / zn) * z
 
 
 def numerical_jacobian(func, x, h: float = 1e-6) -> float:

@@ -6,19 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
-from scipy.stats import maxwell
+from scipy.special import gammainc
 
 from .errors import InputError
 
 DEFAULT_P_SET = (1.0, 1.5, 2.0, 3.0)
 
 
-def _velocities(ensemble) -> np.ndarray:
+def _sq_speeds(ensemble) -> np.ndarray:
+    """|v_i|^2 of an ensemble or of a non-empty (N, 3) velocity array."""
     vel = getattr(ensemble, "velocities", ensemble)
     vel = np.asarray(vel, dtype=float)
     if vel.ndim != 2 or vel.shape[1] != 3 or vel.shape[0] == 0:
         raise InputError("expected a non-empty (N, 3) velocity array")
-    return vel
+    return np.einsum("ij,ij->i", vel, vel)
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,7 @@ class MaxwellianDistance:
 
 def moments(ensemble, p_set=DEFAULT_P_SET) -> MomentReport:
     """Empirical moments m_p = (1/N) sum |v_i|^{2p}; temperature = m_1 / 3."""
-    vel = _velocities(ensemble)
-    sq = np.einsum("ij,ij->i", vel, vel)
+    sq = _sq_speeds(ensemble)
     mom = {float(p): float(np.mean(sq ** p)) for p in p_set}
     m1 = mom.get(1.0, float(np.mean(sq)))
     return MomentReport(moments=mom, temperature=m1 / 3.0)
@@ -53,8 +53,7 @@ def tail_integral(ensemble, a: float) -> TailReport:
     """Empirical mean of exp(a |v|^{3/2}) with a single-sample share flag."""
     if a < 0.0:
         raise InputError("tail rate must be non-negative")
-    vel = _velocities(ensemble)
-    speeds = np.sqrt(np.einsum("ij,ij->i", vel, vel))
+    speeds = np.sqrt(_sq_speeds(ensemble))
     weights = np.exp(a * speeds ** 1.5)
     total = float(np.sum(weights))
     return TailReport(a=a, value=total / len(weights),
@@ -63,8 +62,7 @@ def tail_integral(ensemble, a: float) -> TailReport:
 
 def default_tail_rate(ensemble, base: float = 0.1) -> float:
     """Tail rate scaled so a * RMS^{3/2} = base, avoiding sample domination."""
-    vel = _velocities(ensemble)
-    m1 = float(np.mean(np.einsum("ij,ij->i", vel, vel)))
+    m1 = float(np.mean(_sq_speeds(ensemble)))
     return base * m1 ** -0.75 if m1 > 0 else 0.0
 
 
@@ -83,14 +81,17 @@ def maxwellian_distance(ensemble, theta: float, p_set=DEFAULT_P_SET,
     """
     if theta <= 0.0:
         raise InputError("temperature must be positive")
-    vel = _velocities(ensemble)
-    sq = np.einsum("ij,ij->i", vel, vel)
-    d_m = sum(abs(float(np.mean(sq ** p)) - maxwell_moment(theta, p))
+    emp = moments(ensemble, p_set).moments
+    d_m = sum(abs(emp[float(p)] - maxwell_moment(theta, p))
               / maxwell_moment(theta, p) for p in p_set)
+    sq = _sq_speeds(ensemble)
     edges = np.linspace(0.0, 5.0 * np.sqrt(theta), n_bins + 1)
     counts, _ = np.histogram(np.sqrt(sq), bins=edges)
     p_emp = np.append(counts / len(sq), 1.0 - counts.sum() / len(sq))
-    cdf = maxwell.cdf(edges, scale=np.sqrt(theta))
+    # Maxwell speed law CDF: the regularized lower incomplete gamma P(3/2, x^2/2)
+    # at x = speed / sqrt(theta), as scipy.stats.maxwell evaluates it.
+    x = edges / np.sqrt(theta)
+    cdf = gammainc(1.5, x * x / 2.0)
     p_exact = np.append(np.diff(cdf), 1.0 - cdf[-1])
     return MaxwellianDistance(d_moment=float(d_m),
                               d_hist=float(np.sum(np.abs(p_emp - p_exact))))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dsmc import EngineConfig, Ensemble, InitialCondition, run_many
 from .errors import InputError
+from .observables import moments
 from .restitution import RestitutionModel, rescale
 
 
@@ -62,9 +63,15 @@ class EquivalenceReport:
     all_converged: bool
 
 
-def _moment_vector(vel: np.ndarray, ps=(1.0, 2.0, 3.0)) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", vel, vel)
-    return np.array([np.mean(sq ** p) for p in ps])
+def two_sample_z(x, y) -> float:
+    """(mean(x) - mean(y)) over its standard error from the two sample
+    variances; 0 when both samples are constant."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) < 2 or len(y) < 2:
+        raise InputError("a two-sample z-score needs at least 2 samples a side")
+    se = math.sqrt(x.var(ddof=1) / len(x) + y.var(ddof=1) / len(y))
+    return float((x.mean() - y.mean()) / se) if se > 0 else 0.0
 
 
 def scaling_equivalence_test(config_base: EngineConfig, model: RestitutionModel,
@@ -80,6 +87,8 @@ def scaling_equivalence_test(config_base: EngineConfig, model: RestitutionModel,
     """
     if not 0.0 < lam <= 1.0:
         raise InputError("lambda must lie in (0, 1]")
+    if len(seeds) < 2:
+        raise InputError("the equivalence test needs at least 2 seeds")
     gamma = model.gamma
     mu_a = lam ** (3.0 + gamma)
     mu_b = lam ** gamma
@@ -97,19 +106,13 @@ def scaling_equivalence_test(config_base: EngineConfig, model: RestitutionModel,
                      InitialCondition("maxwellian", t0=init_t0)))
     runs = run_many(jobs)
     ok = all(rep.converged for _, rep in runs)
-    mom_a = [_moment_vector(rescale_ensemble(ens, lam).velocities, p_set)
-             for ens, _ in runs[0::2]]
-    mom_b = [_moment_vector(ens.velocities, p_set) for ens, _ in runs[1::2]]
-
-    a = np.array(mom_a)
-    b = np.array(mom_b)
-    nrep = len(seeds)
-    z = {}
-    for k, p in enumerate(p_set):
-        se = math.sqrt(a[:, k].var(ddof=1) / nrep + b[:, k].var(ddof=1) / nrep)
-        z[float(p)] = float((a[:, k].mean() - b[:, k].mean()) / se) if se > 0 else 0.0
+    a = np.array([list(moments(rescale_ensemble(ens, lam), p_set).moments.values())
+                  for ens, _ in runs[0::2]])
+    b = np.array([list(moments(ens, p_set).moments.values()) for ens, _ in runs[1::2]])
     return EquivalenceReport(
-        lam=lam, z_scores=z,
+        lam=lam,
+        z_scores={float(p): two_sample_z(a[:, k], b[:, k])
+                  for k, p in enumerate(p_set)},
         moments_physical={float(p): float(a[:, k].mean()) for k, p in enumerate(p_set)},
         moments_rescaled={float(p): float(b[:, k].mean()) for k, p in enumerate(p_set)},
         all_converged=ok)

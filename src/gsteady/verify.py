@@ -1,7 +1,8 @@
 """Property batteries behind the `verify` CLI subcommand.
 
-Each check returns a (name, margin, passed) row; margins are oriented so
-that non-negative means the property holds with room to spare.
+Each check returns (name, margin, passed) rows; margins are oriented so
+that non-negative means the property holds with room to spare, and a row
+passes exactly when its margin is >= 0.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from . import maps, povzner, restitution
 from .dissipation import (DissipationSpec, gaussian_pair_average, psi_e,
                           theta_limit, zeta_lambda, zeta_zero)
 from .kinematics import (AngularQuadrature, angular_average, energy_loss,
-                         post_collision_nhat, post_collision_sigma)
-from .restitution import (RestitutionModel, constant, elastic, eval_e,
-                          power_law, rescale, viscoelastic)
+                         post_collision_nhat, post_collision_sigma, sq_norm)
+from .restitution import (RestitutionModel, constant, eval_e, power_law,
+                          viscoelastic)
 
 
 def _models() -> dict[str, RestitutionModel]:
@@ -26,34 +27,39 @@ def _models() -> dict[str, RestitutionModel]:
     }
 
 
+def _row(name: str, margin) -> tuple[str, float, bool]:
+    """One (name, margin, passed) row: it passes exactly when margin >= 0."""
+    margin = float(margin)
+    return name, margin, margin >= 0.0
+
+
 def check_restitution(n_grid: int = 1000):
     rows = []
     grid = restitution.log_grid(n=n_grid)
     for name, model in _models().items():
         e = eval_e(model, grid)
-        rows.append((f"monotone_e[{name}]", float(np.min(e[:-1] - e[1:])), True))
+        rows.append(_row(f"monotone_e[{name}]", np.min(e[:-1] - e[1:])))
         th = grid * e
-        rows.append((f"increasing_theta[{name}]", float(np.min(np.diff(th))), True))
-        rows.append((f"range[{name}]",
-                     float(min(np.min(e), 1.0 + 1e-15 - np.max(e))), True))
+        rows.append(_row(f"increasing_theta[{name}]", np.min(np.diff(th))))
+        rows.append(_row(f"range[{name}]",
+                         min(np.min(e), 1.0 + 1e-15 - np.max(e))))
     for name in ("power_law", "viscoelastic"):
         model = _models()[name]
         small = np.logspace(-6, -2, 200)
         gap = np.abs(eval_e(model, small) - (1.0 - model.a * small ** model.gamma))
         ratio = np.max(gap / small ** model.gamma_bar)
-        rows.append((f"small_r_expansion[{name}]", float(10.0 - ratio), ratio < 10.0))
+        rows.append(_row(f"small_r_expansion[{name}]", 10.0 - ratio))
     visc = _models()["viscoelastic"]
     res = np.max(np.abs(restitution.implicit_residual(visc, grid)))
-    rows.append(("implicit_residual", float(1e-10 - res), res < 1e-10))
-    return [(n, m, m >= 0 and ok) for n, m, ok in rows]
+    rows.append(_row("implicit_residual", 1e-10 - res))
+    return rows
 
 
 def check_kinematics(n_draws: int = 1000, seed: int = 5):
     rng = np.random.default_rng(seed)
-    rows = []
     worst_mom = 0.0
     worst_equiv = 0.0
-    worst_loss = 0.0
+    least_loss = np.inf
     model = viscoelastic(1.0)
     for _ in range(n_draws):
         v, vstar = rng.normal(size=3), rng.normal(size=3)
@@ -72,13 +78,10 @@ def check_kinematics(n_draws: int = 1000, seed: int = 5):
         worst_equiv = max(worst_equiv,
                           float(np.max(np.abs(vp - vp2))),
                           float(np.max(np.abs(vps - vps2))))
-        loss = energy_loss(v, vstar, sigma, model)
-        worst_loss = min(worst_loss, loss)
-    rows.append(("momentum_conservation", 1e-12 - worst_mom, worst_mom < 1e-12))
-    rows.append(("parametrization_equivalence", 1e-12 - worst_equiv,
-                 worst_equiv < 1e-12))
-    rows.append(("energy_loss_nonnegative", -worst_loss, worst_loss >= 0.0))
-    return rows
+        least_loss = min(least_loss, energy_loss(v, vstar, sigma, model))
+    return [_row("momentum_conservation", 1e-12 - worst_mom),
+            _row("parametrization_equivalence", 1e-12 - worst_equiv),
+            _row("energy_loss_nonnegative", least_loss)]
 
 
 def check_dissipation_bridge(n_pairs: int = 100, seed: int = 7):
@@ -87,17 +90,15 @@ def check_dissipation_bridge(n_pairs: int = 100, seed: int = 7):
     quad = AngularQuadrature(n_s=64)
     rows = []
     for name, model in _models().items():
-        spec = DissipationSpec(model)
-        worst = 0.0
-        for _ in range(n_pairs):
-            v, vstar = rng.normal(size=3), rng.normal(size=3)
-            un = float(np.linalg.norm(v - vstar))
-            lhs = un * float(angular_average(
-                lambda w: np.einsum("...k,...k->...", w, w), v, vstar, model, quad))
-            ref = -2.0 * psi_e(spec, un * un)
-            if ref != 0.0:
-                worst = max(worst, abs(lhs - ref) / abs(ref))
-        rows.append((f"dissipation_bridge[{name}]", 1e-6 - worst, worst < 1e-6))
+        pairs = rng.normal(size=(n_pairs, 2, 3))
+        v, vstar = pairs[:, 0], pairs[:, 1]
+        un = np.linalg.norm(v - vstar, axis=1)
+        lhs = un * angular_average(sq_norm, v, vstar, model, quad)
+        ref = -2.0 * psi_e(DissipationSpec(model), un * un)
+        nonzero = ref != 0.0
+        worst = np.max(np.abs(lhs - ref)[nonzero] / np.abs(ref[nonzero]),
+                       initial=0.0)
+        rows.append(_row(f"dissipation_bridge[{name}]", 1e-6 - worst))
     return rows
 
 
@@ -106,20 +107,18 @@ def check_maps(n_grid: int = 1000, seed: int = 11):
     rows = []
     grid = np.logspace(-6, 4, n_grid)
     for name, model in _models().items():
-        bundle = maps.MapBundle(model)
-        eta = np.array([maps.eta_e(bundle, r) for r in grid])
-        rows.append((f"eta_sandwich[{name}]",
-                     float(min(np.min(eta - grid / 2), np.min(grid - eta))), True))
-        alpha = np.array([maps.alpha_e(bundle, s) for s in grid])
-        rows.append((f"alpha_sandwich[{name}]",
-                     float(min(np.min(alpha - grid), np.min(2 * grid - alpha))), True))
-        rt = np.array([maps.alpha_e(bundle, maps.eta_e(bundle, r)) for r in grid])
+        eta = np.array([maps.eta_e(model, r) for r in grid])
+        rows.append(_row(f"eta_sandwich[{name}]",
+                         min(np.min(eta - grid / 2), np.min(grid - eta))))
+        alpha = np.array([maps.alpha_e(model, s) for s in grid])
+        rows.append(_row(f"alpha_sandwich[{name}]",
+                         min(np.min(alpha - grid), np.min(2 * grid - alpha))))
+        rt = np.array([maps.alpha_e(model, maps.eta_e(model, r)) for r in grid])
         worst = float(np.max(np.abs(rt - grid) / np.maximum(1.0, grid)))
-        rows.append((f"alpha_eta_roundtrip[{name}]", 1e-10 - worst, worst < 1e-10))
-        jac = np.array([maps.jacobian_Je(bundle, r) for r in grid])
-        rows.append((f"jacobian_universal_bound[{name}]",
-                     float(min(np.min(jac - 0.125), np.min(1.0 - jac))) + 1e-9,
-                     bool(np.all(jac >= 0.125 - 1e-9) and np.all(jac <= 1.0 + 1e-9))))
+        rows.append(_row(f"alpha_eta_roundtrip[{name}]", 1e-10 - worst))
+        jac = np.array([maps.jacobian_Je(model, r) for r in grid])
+        rows.append(_row(f"jacobian_universal_bound[{name}]",
+                         min(np.min(jac - 0.125), np.min(1.0 - jac)) + 1e-9))
     # Cone map roundtrip and Jacobian.
     worst_rt = 0.0
     worst_jac = 0.0
@@ -136,9 +135,9 @@ def check_maps(n_grid: int = 1000, seed: int = 11):
                        / max(1.0, float(np.linalg.norm(u))))
         det = maps.numerical_jacobian(lambda x: maps.phi_sigma(x, sigma), u)
         worst_jac = max(worst_jac, abs(det - (1.0 + uhat @ sigma) / 8.0))
-    rows.append(("cone_roundtrip", 1e-10 - worst_rt, worst_rt < 1e-10))
-    rows.append(("cone_jacobian", 1e-6 - worst_jac, worst_jac < 1e-6))
-    return [(n, m, (m >= 0 if ok is True else ok)) for n, m, ok in rows]
+    rows.append(_row("cone_roundtrip", 1e-10 - worst_rt))
+    rows.append(_row("cone_jacobian", 1e-6 - worst_jac))
+    return rows
 
 
 def check_dissipation(seed: int = 13, n_mc: int = 200_000):
@@ -148,15 +147,13 @@ def check_dissipation(seed: int = 13, n_mc: int = 200_000):
     spec = DissipationSpec(model)
     grid = np.logspace(-4, 4, 400)
     vals = psi_e(spec, grid)
-    rows.append(("psi_nondecreasing", float(np.min(np.diff(vals))), True))
+    rows.append(_row("psi_nondecreasing", np.min(np.diff(vals))))
     second = np.diff(np.diff(vals))
-    rows.append(("psi_convex_loggrid", float(np.min(second) + 1e-9 * np.max(vals)),
-                 bool(np.min(second) >= -1e-9 * np.max(vals))))
-    # Pointwise limit of zeta_lambda.
+    rows.append(_row("psi_convex_loggrid", np.min(second) + 1e-9 * np.max(vals)))
+    # Pointwise limit of zeta_lambda: the gaps must shrink as lambda does.
     gaps = [abs(zeta_lambda(spec, lam, 1.0) - zeta_zero(1.0, 0.2, 1.0))
             for lam in (0.5, 0.1, 0.01)]
-    rows.append(("zeta_limit_monotone", float(min(np.diff([-g for g in gaps]))),
-                 gaps[0] > gaps[1] > gaps[2]))
+    rows.append(_row("zeta_limit_monotone", min(np.diff([-g for g in gaps]))))
     # Monte Carlo self-consistency of the limit temperature.
     for g in (0.2, 0.5, 1.0):
         res = theta_limit(1.0, g)
@@ -164,13 +161,11 @@ def check_dissipation(seed: int = 13, n_mc: int = 200_000):
         w = rng.normal(0.0, np.sqrt(res.theta), size=(n_mc, 3))
         r = np.linalg.norm(v - w, axis=1)
         est = 1.0 / (4.0 + g) * float(np.mean(r ** (3.0 + g)))
-        rows.append((f"theta_mc[gamma={g}]", 0.02 - abs(est / 6.0 - 1.0),
-                     abs(est / 6.0 - 1.0) < 0.02))
+        rows.append(_row(f"theta_mc[gamma={g}]", 0.02 - abs(est / 6.0 - 1.0)))
     quad_check = gaussian_pair_average(
         lambda r2: zeta_zero(1.0, 0.2, r2), theta_limit(1.0, 0.2).theta)
-    rows.append(("theta_quadrature", 1e-6 - abs(quad_check - 6.0),
-                 abs(quad_check - 6.0) < 1e-6))
-    return [(n, m, (m >= 0 if ok is True else ok)) for n, m, ok in rows]
+    rows.append(_row("theta_quadrature", 1e-6 - abs(quad_check - 6.0)))
+    return rows
 
 
 def check_povzner(n_pairs: int = 500, seed: int = 17):
@@ -180,19 +175,16 @@ def check_povzner(n_pairs: int = 500, seed: int = 17):
     for name, model in _models().items():
         for p in (2.0, 3.0):
             _, norms = povzner.battery(p, model, n_pairs, rng, quad)
-            worst = float(np.min(norms))
-            rows.append((f"povzner_margin[p={p:g},{name}]", worst + 1e-9,
-                         worst >= -1e-9))
+            rows.append(_row(f"povzner_margin[p={p:g},{name}]",
+                             np.min(norms) + 1e-9))
     # Gain-term upper bound (restitution independent).
-    worst = np.inf
-    for _ in range(200):
-        v, vstar = rng.normal(size=3), rng.normal(size=3)
-        for model in _models().values():
-            gap = (povzner.gain_upper_bound(v, vstar, 2.0)
-                   - povzner.gain_term(v, vstar, 2.0, model, quad))
-            e_tot = float(v @ v + vstar @ vstar)
-            worst = min(worst, gap / e_tot ** 2)
-    rows.append(("gain_upper_bound[p=2]", float(worst) + 1e-9, worst >= -1e-9))
+    pairs = rng.normal(size=(200, 2, 3))
+    v, vstar = pairs[:, 0], pairs[:, 1]
+    bound = povzner.gain_upper_bound(v, vstar, 2.0)
+    e_sq = (sq_norm(v) + sq_norm(vstar)) ** 2
+    worst = min(np.min((bound - povzner.gain_term(v, vstar, 2.0, m, quad)) / e_sq)
+                for m in _models().values())
+    rows.append(_row("gain_upper_bound[p=2]", worst + 1e-9))
     return rows
 
 

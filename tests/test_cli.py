@@ -184,3 +184,15 @@ def test_snapshot_determinism_via_cli(runner, tmp_path):
     snap_a = (tmp_path / "a_snapshot.bin").read_bytes()
     snap_b = (tmp_path / "b_snapshot.bin").read_bytes()
     assert snap_a == snap_b
+
+
+def test_uniqueness_probe_needs_two_seeds(runner, tmp_path, monkeypatch):
+    """With one seed there is no variance to test against: exit 1, no run."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    cfg = write(tmp_path, BASE_CONFIG)
+    for seeds in ("1", "0"):
+        res = runner.invoke(main, ["uniqueness-probe", cfg, "--seeds", seeds])
+        assert res.exit_code == 1
+        assert "at least two seeds" in res.output
+    assert runs == []

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gsteady.dissipation import (DissipationSpec, dissipation_functional,
+from gsteady.dissipation import (PSI_BLOCK, DissipationSpec,
+                                 dissipation_functional,
                                  gaussian_pair_average,
                                  maxwell_relative_speed_moment, psi_e,
                                  steady_temperature_ansatz, theta_limit,
                                  zeta_lambda, zeta_zero)
 from gsteady.errors import InputError
-from gsteady.restitution import constant, elastic, power_law, viscoelastic
+from gsteady.restitution import (constant, elastic, eval_e, power_law,
+                                viscoelastic)
 
 # Frozen oracles (independent closed-form / bisection evaluation).
 ZETA0_A1_G02_R4 = 2.187996866661019  # 4^{1.6} / 4.2
@@ -130,7 +134,6 @@ def test_theta_limit_frozen():
     assert theta_limit(1.0, 0.5).theta == pytest.approx(THETA_A1_G05, rel=1e-12)
     assert res.theta_paper_formula > 0.0
     assert res.theta_paper_formula != pytest.approx(res.theta, rel=0.05)
-    assert res.method == "closed-form-oracle"
 
 
 def test_theta_scaling_law():
@@ -173,3 +176,33 @@ def test_steady_ansatz_limits():
     # Monotone in lambda: weaker inelasticity needs higher temperature.
     ts = [steady_temperature_ansatz(spec, lam) for lam in (0.4, 0.2, 0.1, 0.05)]
     assert all(a > b for a, b in zip(ts, ts[1:]))
+
+
+def test_psi_e_blocks_match_whole_array():
+    """Blocks of rows leave every value bit for bit as one whole-array pass."""
+    r = np.random.default_rng(4).exponential(2.0, size=2 * PSI_BLOCK + 5)
+    for model in (power_law(1.0, 0.2), viscoelastic(1.0)):
+        spec = DissipationSpec(model)
+        e = np.asarray(eval_e(model, np.sqrt(r)[:, None] * spec._z))
+        whole = 0.5 * r ** 1.5 * np.sum((1.0 - e * e) * spec._z ** 3 * spec._wz,
+                                        axis=-1)
+        np.testing.assert_array_equal(psi_e(spec, r), whole)
+        np.testing.assert_array_equal(psi_e(spec, r.reshape(-1, 1)),
+                                      whole.reshape(-1, 1))
+        assert psi_e(spec, r[7]) == whole[7]
+
+
+def test_psi_e_memory_bounded():
+    """One call on 100 000 pairs (the diagnostic's default sample) peaks
+    under 32 MB of traced memory; its (pairs x n_z) temporaries held at once
+    would take about 200 MB."""
+    spec = DissipationSpec(power_law(1.0, 0.2))
+    r = np.random.default_rng(5).exponential(2.0, size=100_000)
+    psi_e(spec, r[:10])
+    tracemalloc.start()
+    try:
+        psi_e(spec, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

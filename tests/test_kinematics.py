@@ -5,7 +5,8 @@ from gsteady.dissipation import DissipationSpec, psi_e
 from gsteady.errors import InputError
 from gsteady.kinematics import (AngularQuadrature, angular_average,
                                 energy_loss, gauss_laguerre, gauss_legendre,
-                                post_collision_nhat, post_collision_sigma)
+                                post_collision_grid, post_collision_nhat,
+                                post_collision_sigma)
 from gsteady.restitution import constant, elastic, viscoelastic
 
 from conftest import random_unit
@@ -147,3 +148,63 @@ def test_dissipation_bridge(models, rng):
                 assert abs(lhs) < 1e-12
             else:
                 assert lhs == pytest.approx(ref, rel=1e-6)
+
+
+def test_grid_matches_post_collision_sigma(models, rng):
+    """Each node of the batched grid is post_collision_sigma at the node's
+    direction sigma_ij: a unit vector at cosine s_i to u whose azimuth about
+    u is 2 pi j / n_phi."""
+    quad = AngularQuadrature(n_s=8, n_phi=6)
+    v, vstar = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
+    v[0] = vstar[0] + [2.0, 0.1, 0.0]  # u near the first axis
+    u = v - vstar
+    un = np.linalg.norm(u, axis=1)
+    uhat = u / un[:, None]
+    # The elastic map v' = v - (u - |u| sigma) / 2 gives the directions back.
+    vp, _, w = post_collision_grid(v, vstar, elastic(), quad)
+    np.testing.assert_array_equal(w, 0.5 * quad.weights)
+    sigma = (2.0 * (vp - v[:, None, None]) + u[:, None, None]) / un[:, None, None, None]
+    np.testing.assert_allclose(np.linalg.norm(sigma, axis=-1), 1.0, atol=1e-14)
+    cos = np.einsum("mijk,mk->mij", sigma, uhat)
+    np.testing.assert_allclose(cos, np.broadcast_to(quad.nodes[:, None], cos.shape),
+                               atol=1e-14)
+    ring = sigma - cos[..., None] * uhat[:, None, None]
+    ring /= np.linalg.norm(ring, axis=-1, keepdims=True)
+    phi = 2.0 * np.pi * np.arange(6) / 6
+    ahead = np.cross(uhat[:, None, None], ring[:, :, :1])
+    np.testing.assert_allclose(np.einsum("mijk,mijk->mij", ring, ring[:, :, :1]),
+                               np.broadcast_to(np.cos(phi), cos.shape), atol=1e-13)
+    np.testing.assert_allclose(np.einsum("mijk,mijk->mij", ring, ahead),
+                               np.broadcast_to(np.sin(phi), cos.shape), atol=1e-13)
+    sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
+    for model in models.values():
+        vp, vps, _ = post_collision_grid(v, vstar, model, quad)
+        assert vp.shape == vps.shape == (5, 8, 6, 3)
+        for m, i, j in zip(rng.integers(0, 5, 12), rng.integers(0, 8, 12),
+                           rng.integers(0, 6, 12)):
+            ref_vp, ref_vps = post_collision_sigma(v[m], vstar[m], sigma[m, i, j],
+                                                   model)
+            np.testing.assert_allclose(vp[m, i, j], ref_vp, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(vps[m, i, j], ref_vps, rtol=0, atol=1e-13)
+        one_vp, one_vps, _ = post_collision_grid(v[1], vstar[1], model, quad)
+        np.testing.assert_array_equal(one_vp, vp[1])
+        np.testing.assert_array_equal(one_vps, vps[1])
+    vstar[2] = v[2]
+    with pytest.raises(InputError):
+        post_collision_grid(v, vstar, elastic(), quad)
+
+
+def test_angular_average_batch_matches_per_pair(models, rng):
+    """A batch gives each pair's average, with psi's trailing axis kept."""
+    v, vstar = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+
+    def psi(w):
+        sq = np.einsum("...k,...k->...", w, w)
+        return np.stack([sq, sq * sq], axis=-1)
+
+    quad = AngularQuadrature(n_s=16, n_phi=8)
+    for model in models.values():
+        batch = angular_average(psi, v, vstar, model, quad)
+        assert batch.shape == (7, 2)
+        ref = [angular_average(psi, v[k], vstar[k], model, quad) for k in range(7)]
+        np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)

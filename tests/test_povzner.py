@@ -68,13 +68,42 @@ def test_margins_battery(models, rng):
 
 
 def test_batch_matches_per_pair(models, rng):
+    """The batched kernel, gain term, bound and margin equal one call per pair;
+    a batch holding a pair with v == v* is rejected."""
     v = rng.normal(size=(15, 3))
     vstar = rng.normal(size=(15, 3))
     for model in models.values():
-        batch = povzner._batch_kernel(v, vstar, 3.0, model, QUAD)
-        ref = [povzner.angular_kernel(v[k], vstar[k], 3.0, model, QUAD)
-               for k in range(15)]
-        np.testing.assert_allclose(batch, ref, rtol=1e-10, atol=1e-10)
+        for fn in (povzner.angular_kernel, povzner.gain_term,
+                   povzner.check_inequality):
+            batch = fn(v, vstar, 3.0, model, QUAD)
+            assert batch.shape == (15,)
+            ref = [fn(v[k], vstar[k], 3.0, model, QUAD) for k in range(15)]
+            np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
+    bound = povzner.gain_upper_bound(v, vstar, 3.0)
+    ref = [povzner.gain_upper_bound(v[k], vstar[k], 3.0) for k in range(15)]
+    np.testing.assert_allclose(bound, ref, rtol=1e-13, atol=0.0)
+    vstar[4] = v[4]
+    with pytest.raises(InputError):
+        povzner.angular_kernel(v, vstar, 3.0, elastic(), QUAD)
+
+
+def test_refit_k_matches_pair_loop():
+    """refit_k equals min over its pairs of (head - kernel) / (p (p-1) E^p),
+    each pair drawn as two 3-vectors in turn, across several chunks."""
+    p = 3.0
+    n = povzner.PAIR_CHUNK + 7
+    model = viscoelastic(1.0)
+    k = povzner.refit_k(p, model, n, np.random.default_rng(11), QUAD)
+    draw = np.random.default_rng(11)
+    a_const = 2.0 ** (p - 1.0)
+    ref = np.inf
+    for _ in range(n):
+        v, vstar = draw.normal(size=3), draw.normal(size=3)
+        x, y = float(v @ v), float(vstar @ vstar)
+        head = a_const * p * (x * y ** (p - 1.0) + y * x ** (p - 1.0))
+        kernel = povzner.angular_kernel(v, vstar, p, model, QUAD)
+        ref = min(ref, (head - kernel) / (p * (p - 1.0) * (x + y) ** p))
+    assert k == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_gain_upper_bound(models, rng):

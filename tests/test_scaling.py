@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from gsteady.errors import InputError
 from gsteady.observables import moments
 from gsteady.restitution import power_law
 from gsteady.scaling import (ScalePair, lambda_from_mu, pair_from_lambda,
-                             rescale_ensemble, scaling_equivalence_test)
+                             rescale_ensemble, scaling_equivalence_test,
+                             two_sample_z)
 
 
 def test_scale_pair_invariant():
@@ -69,3 +71,22 @@ def test_equivalence_smoke_lambda_one():
             rep.moments_rescaled[p], rel=0.2)
     with pytest.raises(InputError):
         scaling_equivalence_test(cfg, model, 1.5, seeds=range(2))
+
+
+def test_equivalence_needs_two_seeds(monkeypatch):
+    """One seed gives no variance, so the test refuses it before any run."""
+    runs = []
+    monkeypatch.setattr("gsteady.scaling.run_many", runs.append)
+    cfg = EngineConfig(n=100, dt=0.02, mu=1.0)
+    for seeds in ([1], []):
+        with pytest.raises(InputError, match="at least 2 seeds"):
+            scaling_equivalence_test(cfg, power_law(1.0, 0.2), 0.5, seeds=seeds)
+    assert runs == []
+
+
+def test_two_sample_z():
+    assert two_sample_z([1.0, 3.0], [0.0, 2.0]) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert two_sample_z([2.0, 2.0, 2.0], [1.0, 1.0]) == 0.0
+    for x, y in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [])):
+        with pytest.raises(InputError):
+            two_sample_z(x, y)
