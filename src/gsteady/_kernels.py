@@ -1,4 +1,4 @@
-"""Restitution evaluation and the majorant collision sweep, in numpy.
+"""The majorant collision sweep, in numpy.
 
 The sweep is executed level by level (see `collision_levels`); it makes the
 same accept decisions as a one-candidate-at-a-time loop and differs from it
@@ -7,81 +7,7 @@ only where numpy's `pow` rounds differently from libm's.
 
 import numpy as np
 
-KIND_CONSTANT = 0
-KIND_POWER_LAW = 1
-KIND_VISCOELASTIC = 2
-
-# Exponent of the viscoelastic impact-speed dependence, e + a r^{1/5} e^{3/5} = 1.
-_VISCO_EXP = 0.2
-_NEWTON_MAX_ITER = 200
-_NEWTON_STEP_TOL = 1e-15
-# Elements per block of the vectorised Newton solve; bounds its temporaries.
-_NEWTON_BLOCK = 1 << 14
-
-
-def eval_e_scalar(kind, e0, a, gamma, lam, r):
-    """Restitution coefficient at impact speed r (lam pre-scales r)."""
-    r = lam * r
-    if kind == KIND_CONSTANT:
-        return e0
-    if kind == KIND_POWER_LAW:
-        return 1.0 / (1.0 + a * r ** gamma)
-    # Viscoelastic implicit law.  With y = e^{1/5} the equation becomes the
-    # quintic y^5 + c y^3 = 1, c = a r^{1/5}: increasing and convex on y > 0,
-    # so Newton from y = 1 decreases monotonically onto the root.
-    if r == 0.0:
-        return 1.0
-    c = a * r ** _VISCO_EXP
-    y = 1.0
-    for _ in range(_NEWTON_MAX_ITER):
-        g = y * y * y * (y * y + c) - 1.0
-        dg = y * y * (5.0 * y * y + 3.0 * c)
-        step = g / dg
-        y -= step
-        if abs(step) < _NEWTON_STEP_TOL:
-            break
-    return y ** 5
-
-
-def _visco_newton(c):
-    """Root y of y^5 + c y^3 = 1 per element, with the iteration of eval_e_scalar.
-
-    Each element takes exactly the Newton steps the scalar loop takes and is
-    frozen at the step where that loop breaks (c = 0 gives step 0, so y = 1).
-    """
-    y = np.ones_like(c)
-    live = np.arange(c.size)
-    yl = y.copy()
-    cl = c.copy()
-    for _ in range(_NEWTON_MAX_ITER):
-        g = yl * yl * yl * (yl * yl + cl) - 1.0
-        dg = yl * yl * (5.0 * yl * yl + 3.0 * cl)
-        step = g / dg
-        yl -= step
-        done = np.abs(step) < _NEWTON_STEP_TOL
-        y[live[done]] = yl[done]
-        more = ~done
-        live, yl, cl = live[more], yl[more], cl[more]
-        if live.size == 0:
-            break
-    y[live] = yl
-    return y
-
-
-def eval_e_vec(kind, e0, a, gamma, lam, r):
-    """Vectorized restitution evaluation for float arrays (shape kept)."""
-    r = np.asarray(r, dtype=np.float64)
-    if kind == KIND_CONSTANT:
-        return np.full(r.shape, e0)
-    if kind == KIND_POWER_LAW:
-        return 1.0 / (1.0 + a * (lam * r) ** gamma)
-    flat = r.ravel()
-    out = np.empty(flat.shape)
-    for lo in range(0, flat.size, _NEWTON_BLOCK):
-        c = a * (lam * flat[lo:lo + _NEWTON_BLOCK]) ** _VISCO_EXP
-        out[lo:lo + _NEWTON_BLOCK] = _visco_newton(c) ** 5
-    return out.reshape(r.shape)
-
+from .restitution import RestitutionModel, eval_e
 
 def collision_levels(idx_i, idx_j):
     """Dependency level of each candidate pair of a sequential sweep.
@@ -122,7 +48,7 @@ def collision_levels(idx_i, idx_j):
 
 
 def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
-                     kind, e0, a, gamma, lam):
+                     model: RestitutionModel):
     """Thin candidate pairs and apply accepted collisions in candidate order.
 
     Mutates vel in place.  Returns (accepted, energy_loss, violated) where
@@ -163,7 +89,7 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
         sz = sig[:, 2]
         s = np.clip((ux * sx + uy * sy + uz * sz) / un, -1.0, 1.0)
         impact = un * np.sqrt(0.5 * (1.0 - s))
-        e = eval_e_vec(kind, e0, a, gamma, lam, impact)
+        e = eval_e(model, impact)
         b = 0.5 * (1.0 + e)
         h = np.empty((ks.size, 3))
         h[:, 0] = 0.5 * b * (ux - un * sx)

@@ -155,7 +155,8 @@ def verify(suite, out):
 @click.option("--model", "model_name", default="viscoelastic", show_default=True,
               type=click.Choice(["constant_0.3", "constant_0.8", "power_law",
                                  "viscoelastic"]))
-@click.option("--pairs", default=1000, show_default=True)
+@click.option("--pairs", default=1000, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default="povzner.csv", show_default=True)
 def povzner_check(p_exponents, model_name, pairs, seed, out):
@@ -165,7 +166,11 @@ def povzner_check(p_exponents, model_name, pairs, seed, out):
     rows = []
     ok = True
     for p in p_exponents:
-        margins, norms = povzner_mod.battery(p, model, pairs, rng)
+        try:
+            margins, norms = povzner_mod.battery(p, model, pairs, rng)
+        except InputError as exc:
+            click.echo(str(exc), err=True)
+            sys.exit(1)
         worst = float(np.min(norms))
         passed = worst >= -1e-9
         if not passed:

@@ -20,7 +20,6 @@ _SCHEMA = {
     "engine.mu": (float, True),
     "engine.seed": (int, False),
     "engine.recenter": ("bool", False),
-    "engine.umax_factor": (float, False),
     "restitution.kind": (str, True),
     "restitution.a": (float, False),
     "restitution.gamma": (float, False),
@@ -38,7 +37,7 @@ _SCHEMA = {
     "run.diss_pairs": (int, False),
 }
 
-_KIND_ALIASES = {
+_LAW_ALIASES = {
     "constant": CONSTANT,
     "power_law": POWER_LAW,
     "powerlaw": POWER_LAW,
@@ -102,10 +101,10 @@ class RunSetup:
 def build_setup(values: dict) -> RunSetup:
     """Materialize engine/model/init objects from parsed key=value pairs."""
     kind_raw = str(values["restitution.kind"]).lower()
-    if kind_raw not in _KIND_ALIASES:
+    if kind_raw not in _LAW_ALIASES:
         raise ConfigError(f"restitution.kind must be one of "
-                          f"{sorted(set(_KIND_ALIASES))}, got {kind_raw!r}")
-    kind = _KIND_ALIASES[kind_raw]
+                          f"{sorted(set(_LAW_ALIASES))}, got {kind_raw!r}")
+    kind = _LAW_ALIASES[kind_raw]
     kwargs: dict = {"kind": kind}
     if kind == CONSTANT:
         if "restitution.e0" not in values:
@@ -129,7 +128,6 @@ def build_setup(values: dict) -> RunSetup:
         mu=values["engine.mu"],
         seed=values.get("engine.seed", 0),
         recenter=values.get("engine.recenter", True),
-        umax_factor=values.get("engine.umax_factor", 2.0),
         max_steps=values.get("run.max_steps", 20000),
         window=values.get("run.window", 200),
         tol=values.get("run.tol", 0.01),

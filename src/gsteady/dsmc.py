@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,11 @@ _STREAM_BATH = 0
 _STREAM_COLLIDE = 1
 _STREAM_INIT = 2
 _STREAM_DIAG = 3
+
+# The majorant rate is U_max = _UMAX_FACTOR * 2 max|v|.  Every pairwise speed
+# has |u| <= 2 max|v|, so any factor above 1 is a majorant; changing the
+# factor changes every trajectory.
+_UMAX_FACTOR = 2.0
 
 SNAPSHOT_MAGIC = "GSTEADY2"
 # Ensemble fields each snapshot format carries besides N, as (ints, floats).
@@ -54,13 +58,11 @@ class EngineConfig:
     mu: float
     seed: int = 0
     recenter: bool = True
-    umax_factor: float = 2.0
     max_steps: int = 20000
     window: int = 200
     tol: float = 0.01
     sample_every: int = 10
     diss_pairs: int = 100_000
-    umax_override: float | None = None  # test hook; 0 disables collisions
 
     def __post_init__(self):
         if self.n < 2:
@@ -69,8 +71,6 @@ class EngineConfig:
             raise ConfigError("dt must be finite and positive")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ConfigError("bath strength mu must be finite and non-negative")
-        if not (math.isfinite(self.umax_factor) and self.umax_factor >= 1.0):
-            raise ConfigError("umax_factor must be finite and at least 1")
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise ConfigError("tol must be finite and positive")
         if self.window < 2 or self.sample_every < 1:
@@ -188,11 +188,8 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
         vel += kick
         ens.bath_energy += float(np.einsum("ij,ij->", vel, vel)) - before
 
-    if config.umax_override is not None:
-        umax = config.umax_override
-    else:
-        vmax = math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
-        umax = config.umax_factor * 2.0 * vmax
+    vmax = math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
+    umax = _UMAX_FACTOR * 2.0 * vmax
     accepted = 0
     if umax > 0.0:
         rng = _stream(config.seed, ens.step_count, _STREAM_COLLIDE)
@@ -207,11 +204,9 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
             sigma = raw / np.maximum(norms, 1e-300)
             accepted, loss, violated = _kernels.apply_collisions(
                 vel, ii.astype(np.int64), jj.astype(np.int64), accept_u,
-                sigma, umax, model._code, model.e0, model.a, model.gamma,
-                model.lambda_scale)
+                sigma, umax, model)
             if violated:
-                raise MajorantViolation(
-                    "pairwise speed exceeded U_max; increase umax_factor")
+                raise MajorantViolation("pairwise speed exceeded U_max")
             ens.n_candidates += m
             ens.n_collisions += accepted
             ens.collision_loss += loss
@@ -252,7 +247,6 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
     ens = initial_ensemble(config, init)
     spec = DissipationSpec(model)
     series: list[tuple] = []
-    low_accept_warned = False
     converged = False
     slope = math.nan
 
@@ -268,11 +262,6 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
                    rng=_stream(config.seed, ens.step_count, _STREAM_DIAG)),
                ens.accept_ratio())
         series.append(row)
-        ratio = ens.accept_ratio()
-        if (not low_accept_warned and ens.n_candidates > 1000 and ratio < 0.05):
-            warnings.warn(f"majorant acceptance ratio {ratio:.3f} below 0.05; "
-                          "umax_factor is wasting candidates", RuntimeWarning)
-            low_accept_warned = True
         if len(series) >= config.window:
             tail = series[-config.window:]
             ts = np.array([r[1] for r in tail])

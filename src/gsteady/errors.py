@@ -12,8 +12,9 @@ class ConfigError(InputError):
 class MajorantViolation(RuntimeError):
     """A pairwise relative speed exceeded the majorant rate U_max.
 
-    Signals that umax_factor is too small for the current ensemble; the
-    step is aborted rather than silently clamping the rate.
+    The engine sets U_max to twice the bound 2 max|v| on every pairwise
+    speed, so a correct step never raises this; it signals a broken
+    majorant, and the step is aborted rather than silently clamping the rate.
     """
 
 

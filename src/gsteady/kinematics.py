@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .restitution import RestitutionModel, beta, eval_e
+from .restitution import RestitutionModel, beta, eval_e, scalar_or_array
 
 UNIT_TOL = 1e-12
 
@@ -63,58 +63,67 @@ def sq_norm(w):
     return np.einsum("...k,...k->...", w, w)
 
 
-def _check_unit(vec: np.ndarray, name: str) -> np.ndarray:
+def _dot(a, b):
+    """Dot product over the last axis, written out so that one pair and a
+    batch round alike."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _check_unit(vec, name: str) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (3,):
-        raise InputError(f"{name} must be a 3-vector")
-    if abs(np.linalg.norm(vec) - 1.0) > UNIT_TOL:
+    if vec.ndim not in (1, 2) or vec.shape[-1] != 3:
+        raise InputError(f"{name} must be a 3-vector or an (m, 3) batch")
+    if np.any(np.abs(np.linalg.norm(vec, axis=-1) - 1.0) > UNIT_TOL):
         raise InputError(f"{name} must be a unit vector (tol {UNIT_TOL})")
     return vec
 
 
+def _sigma_collision(u, sigma: np.ndarray, model: RestitutionModel):
+    """(|u|, s, e) of the sigma-form collision, s = cos(u, sigma).
+
+    A pair with v == v* has u = 0, so its impact speed, velocity change
+    and energy loss come out 0 without a special case.
+    """
+    un = np.sqrt(_dot(u, u))
+    s = np.clip(_dot(u, sigma) / np.where(un == 0.0, 1.0, un), -1.0, 1.0)
+    return un, s, eval_e(model, un * np.sqrt(0.5 * (1.0 - s)))
+
+
 def post_collision_sigma(v, vstar, sigma, model: RestitutionModel):
-    """Post-collision velocities in the scattering-direction parametrization."""
+    """Post-collision velocities in the scattering-direction parametrization.
+
+    v, vstar and sigma are one pair (3,) or a batch (m, 3).
+    """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     sigma = _check_unit(sigma, "sigma")
     u = v - vstar
-    un = float(np.linalg.norm(u))
-    if un == 0.0:
-        return v.copy(), vstar.copy()
-    s = float(np.clip(u @ sigma / un, -1.0, 1.0))
-    impact = un * np.sqrt(0.5 * (1.0 - s))
-    b = beta(model, impact)
-    h = 0.5 * b * (u - un * sigma)
+    un, _, e = _sigma_collision(u, sigma, model)
+    b = 0.5 * (1.0 + np.asarray(e))
+    h = 0.5 * b[..., None] * (u - un[..., None] * sigma)
     return v - h, vstar + h
 
 
 def post_collision_nhat(v, vstar, nhat, model: RestitutionModel):
-    """Post-collision velocities in the impact-direction parametrization."""
+    """Post-collision velocities in the impact-direction parametrization.
+
+    v, vstar and nhat are one pair (3,) or a batch (m, 3).
+    """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     nhat = _check_unit(nhat, "nhat")
-    u = v - vstar
-    un_n = float(u @ nhat)
-    if un_n == 0.0:
-        return v.copy(), vstar.copy()
-    e = eval_e(model, abs(un_n))
-    h = 0.5 * (1.0 + e) * un_n * nhat
+    un_n = _dot(v - vstar, nhat)
+    e = np.asarray(eval_e(model, np.abs(un_n)))
+    h = (0.5 * (1.0 + e) * un_n)[..., None] * nhat
     return v - h, vstar + h
 
 
-def energy_loss(v, vstar, sigma, model: RestitutionModel) -> float:
-    """Kinetic energy dissipated by a single collision (non-negative)."""
-    v = np.asarray(v, dtype=float)
-    vstar = np.asarray(vstar, dtype=float)
-    sigma = _check_unit(sigma, "sigma")
-    u = v - vstar
-    un = float(np.linalg.norm(u))
-    if un == 0.0:
-        return 0.0
-    s = float(np.clip(u @ sigma / un, -1.0, 1.0))
-    impact = un * np.sqrt(0.5 * (1.0 - s))
-    e = eval_e(model, impact)
-    return 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
+def energy_loss(v, vstar, sigma, model: RestitutionModel):
+    """Kinetic energy dissipated by a collision (non-negative): a float for
+    one pair (3,), shape (m,) for a batch (m, 3)."""
+    u = np.asarray(v, dtype=float) - np.asarray(vstar, dtype=float)
+    un, s, e = _sigma_collision(u, _check_unit(sigma, "sigma"), model)
+    return scalar_or_array(0.25 * un * un * (1.0 - s) * (1.0 - e * e))
 
 
 def post_collision_grid(v, vstar, model: RestitutionModel,

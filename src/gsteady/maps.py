@@ -10,56 +10,71 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
-from .restitution import RestitutionModel, beta
+from .restitution import RestitutionModel, beta, scalar_or_array
 from .restitution import theta as theta_map
 
 ROOT_TOL = 1e-12
 
 
-def eta_e(model: RestitutionModel, r: float) -> float:
-    """r * beta(r); sandwiched between r/2 and r."""
-    if r < 0.0:
-        raise InputError("eta_e argument must be non-negative")
-    return float(r * beta(model, r))
+def _non_negative(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise InputError(f"{name} argument must be non-negative")
+    return x
 
 
-def alpha_e(model: RestitutionModel, s: float) -> float:
-    """Inverse of eta_e, bracketed on [s, 2s] by the sandwich bounds."""
-    if s < 0.0:
-        raise InputError("alpha_e argument must be non-negative")
-    if s == 0.0:
-        return 0.0
-    lo, hi = s, 2.0 * s
-    flo = eta_e(model, lo) - s
-    if flo == 0.0:
-        return lo
+def eta_e(model: RestitutionModel, r):
+    """r * beta(r); sandwiched between r/2 and r.  One value or an array."""
+    r = _non_negative(r, "eta_e")
+    return scalar_or_array(r * beta(model, r))
+
+
+def alpha_e(model: RestitutionModel, s):
+    """Inverse of eta_e, bracketed on [s, 2s] by the sandwich bounds.
+
+    One value or an array.  Each element bisects until its own bracket is
+    shorter than ROOT_TOL * max(1, s), so its value does not depend on the
+    rest of the array.
+    """
+    s = _non_negative(s, "alpha_e")
+    flat = s.reshape(-1)
+    # s = 0 and an exact eta_e(s) = s both return s itself.
+    out = flat.copy()
+    live = np.flatnonzero((flat != 0.0) & (eta_e(model, flat) - flat != 0.0))
+    sl = flat[live]
+    lo, hi = sl, 2.0 * sl
+    tol = ROOT_TOL * np.maximum(1.0, sl)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if eta_e(model, mid) - s <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < ROOT_TOL * max(1.0, s):
+        below = eta_e(model, mid) - sl <= 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        done = hi - lo < tol
+        out[live[done]] = 0.5 * (lo[done] + hi[done])
+        more = ~done
+        live, sl, lo, hi, tol = live[more], sl[more], lo[more], hi[more], tol[more]
+        if live.size == 0:
             break
-    return 0.5 * (lo + hi)
+    out[live] = 0.5 * (lo + hi)
+    return scalar_or_array(out.reshape(s.shape))
 
 
-def theta_prime(model: RestitutionModel, r: float,
-                scale: float | None = None) -> float:
-    """Central finite difference of r -> r e(r)."""
-    h = max(1e-6, 1e-6 * (r if scale is None else scale))
-    lo = max(r - h, 0.0)
+def theta_prime(model: RestitutionModel, r):
+    """Central finite difference of r -> r e(r).  One value or an array."""
+    r = np.asarray(r, dtype=float)
+    h = np.maximum(1e-6, 1e-6 * r)
+    lo = np.maximum(r - h, 0.0)
     hi = r + h
-    return float((theta_map(model, hi) - theta_map(model, lo)) / (hi - lo))
+    return scalar_or_array((theta_map(model, hi) - theta_map(model, lo))
+                           / (hi - lo))
 
 
-def jacobian_Je(model: RestitutionModel, rho: float) -> float:
-    """Jacobian of the radial contraction at radius rho; lies in [1/8, 1]."""
-    if rho < 0.0:
-        raise InputError("jacobian argument must be non-negative")
-    r = alpha_e(model, rho)
-    b = float(beta(model, r))
-    return 0.5 * (1.0 + theta_prime(model, r)) * b * b
+def jacobian_Je(model: RestitutionModel, rho):
+    """Jacobian of the radial contraction at radius rho; lies in [1/8, 1].
+    One value or an array."""
+    r = alpha_e(model, _non_negative(rho, "jacobian"))
+    b = beta(model, r)
+    return scalar_or_array(0.5 * (1.0 + theta_prime(model, r)) * b * b)
 
 
 def phi_sigma(u, sigma):
@@ -83,21 +98,18 @@ def varphi_sigma(w, sigma, tol: float = 1e-12):
 
 
 def pi_forward(model: RestitutionModel, w):
-    """Radial contraction w -> beta(|w|) w."""
+    """Radial contraction w -> beta(|w|) w; one vector (3,) or a batch (m, 3)."""
     w = np.asarray(w, dtype=float)
-    wn = np.linalg.norm(w)
-    if wn == 0.0:
-        return np.zeros(3)
-    return float(beta(model, wn)) * w
+    return np.asarray(beta(model, np.linalg.norm(w, axis=-1)))[..., None] * w
 
 
 def pi_inverse(model: RestitutionModel, z):
-    """Inverse contraction z -> (alpha(|z|)/|z|) z; fixes the origin."""
+    """Inverse contraction z -> (alpha(|z|)/|z|) z; fixes the origin.
+    One vector (3,) or a batch (m, 3)."""
     z = np.asarray(z, dtype=float)
-    zn = np.linalg.norm(z)
-    if zn == 0.0:
-        return np.zeros(3)
-    return (alpha_e(model, zn) / zn) * z
+    zn = np.linalg.norm(z, axis=-1)
+    ratio = np.asarray(alpha_e(model, zn)) / np.where(zn == 0.0, 1.0, zn)
+    return ratio[..., None] * z
 
 
 def numerical_jacobian(func, x, h: float = 1e-6) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .kinematics import (AngularQuadrature, angular_average, gain_average,
                          gauss_legendre, sq_norm)
-from .restitution import RestitutionModel
+from .restitution import RestitutionModel, scalar_or_array
 
 # Pairs per vectorized batch in battery and refit_k.
 PAIR_CHUNK = 512
@@ -52,10 +52,6 @@ class PovznerCase:
                 p * (p - 1.0) * (x + y) ** p)
 
 
-def _scalar_or_array(out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def angular_kernel(v, vstar, p: float, model: RestitutionModel,
                    quad: AngularQuadrature | None = None):
     """Sphere average of the x^p collision difference (full 2-D quadrature).
@@ -63,14 +59,14 @@ def angular_kernel(v, vstar, p: float, model: RestitutionModel,
     One pair (3,) gives a float, 0.0 when v == v*; a batch (m, 3) gives
     shape (m,) and must not contain a pair with v == v*.
     """
-    return _scalar_or_array(angular_average(lambda w: sq_norm(w) ** p, v, vstar,
+    return scalar_or_array(angular_average(lambda w: sq_norm(w) ** p, v, vstar,
                                             model, quad))
 
 
 def gain_term(v, vstar, p: float, model: RestitutionModel,
               quad: AngularQuadrature | None = None):
     """Sphere average of Psi(|v'|^2) + Psi(|v'*|^2) alone; one pair or a batch."""
-    return _scalar_or_array(gain_average(lambda w: sq_norm(w) ** p, v, vstar,
+    return scalar_or_array(gain_average(lambda w: sq_norm(w) ** p, v, vstar,
                                          model, quad))
 
 
@@ -84,7 +80,7 @@ def gain_upper_bound(v, vstar, p: float, n_nodes: int = 128):
     s = 0.5 * (s + 1.0)
     w = 0.5 * w
     vals = (e_tot * (3.0 + s) / 4.0) ** p + (e_tot * (1.0 - s) / 4.0) ** p
-    return _scalar_or_array(vals @ w)
+    return scalar_or_array(vals @ w)
 
 
 def check_inequality(v, vstar, p: float, model: RestitutionModel,
@@ -96,7 +92,7 @@ def check_inequality(v, vstar, p: float, model: RestitutionModel,
         raise InputError("the clean bound needs p >= 2 (locally bounded Psi'')")
     case = PovznerCase(p)
     head, curv = case.bound_terms(sq_norm(v), sq_norm(vstar))
-    return _scalar_or_array(head - case.k_const * curv
+    return scalar_or_array(head - case.k_const * curv
                             - angular_kernel(v, vstar, p, model, quad))
 
 

@@ -15,21 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError
 
 CONSTANT = "constant"
 POWER_LAW = "power_law"
 VISCOELASTIC = "viscoelastic"
 
-_KIND_CODES = {
-    CONSTANT: _kernels.KIND_CONSTANT,
-    POWER_LAW: _kernels.KIND_POWER_LAW,
-    VISCOELASTIC: _kernels.KIND_VISCOELASTIC,
-}
-
 VISCO_GAMMA = 0.2
 VISCO_GAMMA_BAR = 0.4
+_NEWTON_MAX_ITER = 200
+_NEWTON_STEP_TOL = 1e-15
+# Elements per block of the viscoelastic Newton solve; bounds its temporaries.
+_NEWTON_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ class RestitutionModel:
     lambda_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in (CONSTANT, POWER_LAW, VISCOELASTIC):
             raise InputError(f"unknown restitution kind {self.kind!r}")
         if self.kind == CONSTANT and not 0.0 < self.e0 <= 1.0:
             raise InputError("constant restitution requires e0 in (0, 1]")
@@ -65,10 +62,6 @@ class RestitutionModel:
             object.__setattr__(self, "gamma_bar", bar)
         elif self.gamma_bar <= self.gamma:
             raise InputError("gamma_bar must exceed gamma")
-
-    @property
-    def _code(self) -> int:
-        return _KIND_CODES[self.kind]
 
 
 def constant(e0: float) -> RestitutionModel:
@@ -87,19 +80,62 @@ def elastic() -> RestitutionModel:
     return constant(1.0)
 
 
+def scalar_or_array(out):
+    """A Python float for a 0-d result, the array otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _visco_newton(c):
+    """Root y of y^5 + c y^3 = 1 per element of the 1-d array c.
+
+    The quintic is increasing and convex on y > 0, so Newton from y = 1
+    decreases monotonically onto the root.  Each element stops at the first
+    step shorter than _NEWTON_STEP_TOL, so its value does not depend on the
+    rest of the array (c = 0 gives step 0, so y = 1).
+    """
+    y = np.ones_like(c)
+    live = np.arange(c.size)
+    yl = y.copy()
+    cl = c.copy()
+    for _ in range(_NEWTON_MAX_ITER):
+        g = yl * yl * yl * (yl * yl + cl) - 1.0
+        dg = yl * yl * (5.0 * yl * yl + 3.0 * cl)
+        step = g / dg
+        yl -= step
+        done = np.abs(step) < _NEWTON_STEP_TOL
+        y[live[done]] = yl[done]
+        more = ~done
+        live, yl, cl = live[more], yl[more], cl[more]
+        if live.size == 0:
+            break
+    y[live] = yl
+    return y
+
+
 def eval_e(model: RestitutionModel, r):
-    """Restitution coefficient at impact speed r (scalar or array)."""
+    """Restitution coefficient at impact speed r: a float for a scalar r,
+    an array of r's shape otherwise.
+
+    Every element goes through the same array code, so an element's value
+    does not depend on the shape it is passed in.
+    """
     arr = np.asarray(r, dtype=float)
-    if arr.ndim == 0:
-        x = float(arr)
-        if not (math.isfinite(x) and x >= 0.0):
-            raise InputError("impact speed must be finite and non-negative")
-        return float(_kernels.eval_e_scalar(model._code, model.e0, model.a,
-                                            model.gamma, model.lambda_scale, x))
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0):
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise InputError("impact speed must be finite and non-negative")
-    return _kernels.eval_e_vec(model._code, model.e0, model.a, model.gamma,
-                               model.lambda_scale, arr)
+    # Computed on 1-d arrays: numpy's scalar pow rounds unlike its array pow.
+    flat = arr.reshape(-1)
+    if model.kind == CONSTANT:
+        e = np.full(flat.shape, model.e0)
+    elif model.kind == POWER_LAW:
+        e = 1.0 / (1.0 + model.a * (model.lambda_scale * flat) ** model.gamma)
+    else:
+        # With y = e^{1/5} the implicit law is y^5 + c y^3 = 1, c = a r^{1/5}.
+        e = np.empty(flat.shape)
+        for lo in range(0, flat.size, _NEWTON_BLOCK):
+            blk = model.lambda_scale * flat[lo:lo + _NEWTON_BLOCK]
+            e[lo:lo + _NEWTON_BLOCK] = _visco_newton(
+                model.a * blk ** VISCO_GAMMA) ** 5
+    return scalar_or_array(e.reshape(arr.shape))
 
 
 def beta(model: RestitutionModel, r):

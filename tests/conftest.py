@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gsteady.restitution import constant, power_law, viscoelastic
+
+# Property tests draw the same examples on every run, so the suite's
+# outcome does not depend on the run.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

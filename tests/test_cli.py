@@ -140,6 +140,18 @@ def test_povzner_check_subcommand(runner, tmp_path):
     assert len(lines) == 4  # manifest, header, p=2, p=3
 
 
+def test_povzner_check_bad_input_exits_1(runner, tmp_path):
+    """p < 2 and a pair count below 1 give a message and exit 1, no traceback."""
+    out = tmp_path / "pov.csv"
+    for args, message in ((["--p", "1.5"], "the clean bound needs p >= 2"),
+                          (["--pairs", "0"], "0 is not in the range x>=1")):
+        res = runner.invoke(main, ["povzner-check", *args, "--out", str(out)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert message in res.output
+    assert not out.exists()
+
+
 def test_sweep_lambda_single(runner, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG
                 .replace("restitution.kind = constant",

@@ -5,14 +5,18 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gsteady import dsmc
 from gsteady.config import build_setup, parse_config_text
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
                           load_snapshot, run_many, run_to_steady,
                           save_snapshot, step)
 from gsteady.errors import (ConfigError, InputError, MajorantViolation,
                             TimeStepError)
-from gsteady.restitution import constant, elastic, power_law, viscoelastic
+from gsteady.restitution import (constant, elastic, power_law, rescale,
+                                 viscoelastic)
 
 
 def small_config(**kw):
@@ -30,20 +34,22 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         EngineConfig(n=10, dt=0.01, mu=-1.0)
     with pytest.raises(ConfigError):
-        EngineConfig(n=10, dt=0.01, mu=0.1, umax_factor=0.5)
-    with pytest.raises(ConfigError):
         EngineConfig(n=10, dt=0.01, mu=0.1, window=1)
     with pytest.raises(ConfigError):
         EngineConfig(n=10, dt=0.01, mu=0.1, tol=0.0)
+    # The majorant factor is a fixed constant, not a setting.
+    text = ("engine.N = 10\nengine.dt = 0.01\nengine.mu = 0.1\n"
+            "restitution.kind = constant\nrestitution.e0 = 0.5\n")
+    with pytest.raises(ConfigError, match="unknown key 'engine.umax_factor'"):
+        parse_config_text(text + "engine.umax_factor = 2.0\n")
 
 
-@pytest.mark.parametrize("key", ["dt", "mu", "tol", "umax_factor"])
+@pytest.mark.parametrize("key", ["dt", "mu", "tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite(key, value):
     with pytest.raises(ConfigError):
         EngineConfig(**{"n": 10, "dt": 0.01, "mu": 0.1, key: value})
-    cfg_key = {"dt": "engine.dt", "mu": "engine.mu", "tol": "run.tol",
-               "umax_factor": "engine.umax_factor"}[key]
+    cfg_key = {"dt": "engine.dt", "mu": "engine.mu", "tol": "run.tol"}[key]
     text = ("engine.N = 10\nengine.dt = 0.01\nengine.mu = 0.1\n"
             "restitution.kind = constant\nrestitution.e0 = 0.5\n")
     with pytest.raises(ConfigError, match=cfg_key):
@@ -69,8 +75,9 @@ def test_initial_conditions():
 
 
 def test_bath_only_energy_growth():
-    """With collisions disabled the mean-square speed grows at rate 6 mu."""
-    cfg = small_config(n=5000, mu=0.1, dt=0.01, umax_override=0.0)
+    """With elastic collisions, which lose no energy, the mean-square speed
+    grows at the bath rate 6 mu."""
+    cfg = small_config(n=5000, mu=0.1, dt=0.01)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
     e0 = ens.energy() / cfg.n
     for _ in range(500):
@@ -79,7 +86,8 @@ def test_bath_only_energy_growth():
     expect = 6.0 * cfg.mu * ens.t
     se = math.sqrt(4.0 * 3.0 * expect / cfg.n)
     assert abs(growth - expect) < 3.0 * se
-    assert ens.n_candidates == 0
+    assert ens.n_collisions > 0
+    assert ens.collision_loss == 0.0
 
 
 def test_energy_bookkeeping_exact():
@@ -121,10 +129,11 @@ def test_determinism_bitwise():
     assert not np.array_equal(runs[0], other.velocities)
 
 
-def test_majorant_violation_raises():
-    # Small enough that typical relative speeds (~2.4 at T0=1) exceed it,
-    # large enough that candidates are actually drawn.
-    cfg = small_config(umax_override=0.5, dt=0.1)
+def test_majorant_violation_raises(monkeypatch):
+    # U_max about 0.5: small enough that typical relative speeds (~2.4 at
+    # T0=1) exceed it, large enough that candidates are actually drawn.
+    monkeypatch.setattr(dsmc, "_UMAX_FACTOR", 1.0 / 15.0)
+    cfg = small_config(dt=0.1)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
     with pytest.raises(MajorantViolation):
         for _ in range(50):
@@ -142,9 +151,11 @@ def _assert_ledger_exact(ens, e0):
     assert abs(ens.energy() - e0 - lhs) <= 1e-12 * ens.energy()
 
 
-def test_failed_step_restores_state():
+def test_failed_step_restores_state(monkeypatch):
     """A step that raises leaves the ensemble exactly as it found it."""
-    cfg = EngineConfig(n=2000, dt=0.01, mu=0.0, seed=4, umax_override=3.0)
+    # U_max about 3: two candidates collide before one exceeds it.
+    monkeypatch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
+    cfg = EngineConfig(n=2000, dt=0.01, mu=0.0, seed=4)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
     e0 = ens.energy()
     before = _ledger_state(ens)
@@ -153,6 +164,28 @@ def test_failed_step_restores_state():
     after = _ledger_state(ens)
     np.testing.assert_array_equal(after[0], before[0])
     assert after[1:] == before[1:]
+    _assert_ledger_exact(ens, e0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 400), dt=st.floats(1e-3, 0.1), mu=st.floats(0.0, 2.0),
+       lam=st.floats(1e-3, 1.0), recenter=st.booleans(),
+       law=st.sampled_from([constant(0.3), power_law(1.0, 0.2),
+                            viscoelastic(1.0)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ledger_exact_property(n, dt, mu, lam, recenter, law, seed):
+    """E - E0 = bath + recenter - loss to round-off on every law, odd N
+    included, up to the first step that raises TimeStepError."""
+    cfg = EngineConfig(n=n, dt=dt, mu=mu, seed=seed, recenter=recenter)
+    model = rescale(law, lam)
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    e0 = ens.energy()
+    for _ in range(30):
+        try:
+            step(ens, cfg, model)
+        except TimeStepError:
+            break
+        _assert_ledger_exact(ens, e0)
     _assert_ledger_exact(ens, e0)
 
 
@@ -187,14 +220,6 @@ def test_cooling_never_steady():
     win = 50
     means = [arr[k:k + win].mean() for k in range(0, len(arr) - win, win // 2)]
     assert all(a > b for a, b in zip(means, means[1:]))
-
-
-def test_low_acceptance_warns():
-    cfg = small_config(n=400, mu=0.05, umax_factor=40.0, max_steps=120,
-                       window=100)
-    with pytest.warns(RuntimeWarning, match="acceptance ratio"):
-        run_to_steady(cfg, viscoelastic(1.0),
-                      InitialCondition("maxwellian", t0=1.0))
 
 
 def test_steady_report_fields():

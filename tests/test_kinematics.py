@@ -6,7 +6,7 @@ from gsteady.errors import InputError
 from gsteady.kinematics import (AngularQuadrature, angular_average,
                                 energy_loss, gauss_laguerre, gauss_legendre,
                                 post_collision_grid, post_collision_nhat,
-                                post_collision_sigma)
+                                post_collision_sigma, sq_norm)
 from gsteady.restitution import constant, elastic, viscoelastic
 
 from conftest import random_unit
@@ -96,30 +96,26 @@ def test_momentum_and_equivalence(models, rng):
         v = rng.normal(size=(2500, 3))
         vstar = rng.normal(size=(2500, 3))
         nhat = random_unit(rng, 2500)
-        for k in range(2500):
-            u = v[k] - vstar[k]
-            un = np.linalg.norm(u)
-            uhat = u / un
-            sigma = uhat - 2.0 * (uhat @ nhat[k]) * nhat[k]
-            sigma /= np.linalg.norm(sigma)
-            vp, vps = post_collision_sigma(v[k], vstar[k], sigma, model)
-            assert np.max(np.abs(vp + vps - v[k] - vstar[k])) < 1e-12
-            vp2, vps2 = post_collision_nhat(v[k], vstar[k], nhat[k], model)
-            assert np.max(np.abs(vp - vp2)) < 1e-12
-            assert np.max(np.abs(vps - vps2)) < 1e-12
+        u = v - vstar
+        uhat = u / np.linalg.norm(u, axis=1, keepdims=True)
+        sigma = uhat - 2.0 * np.sum(uhat * nhat, axis=1, keepdims=True) * nhat
+        sigma /= np.linalg.norm(sigma, axis=1, keepdims=True)
+        vp, vps = post_collision_sigma(v, vstar, sigma, model)
+        assert np.max(np.abs(vp + vps - v - vstar)) < 1e-12
+        vp2, vps2 = post_collision_nhat(v, vstar, nhat, model)
+        assert np.max(np.abs(vp - vp2)) < 1e-12
+        assert np.max(np.abs(vps - vps2)) < 1e-12
 
 
 def test_energy_loss_matches_velocity_difference(models, rng):
     for model in models.values():
-        for _ in range(200):
-            v, vstar = rng.normal(size=3), rng.normal(size=3)
-            sigma = random_unit(rng)
-            vp, vps = post_collision_sigma(v, vstar, sigma, model)
-            direct = (v @ v + vstar @ vstar) - (vp @ vp + vps @ vps)
-            loss = energy_loss(v, vstar, sigma, model)
-            assert loss >= 0.0
-            scale = max(1.0, abs(loss))
-            assert abs(loss - direct) < 1e-10 * scale
+        v, vstar = rng.normal(size=(200, 3)), rng.normal(size=(200, 3))
+        sigma = random_unit(rng, 200)
+        vp, vps = post_collision_sigma(v, vstar, sigma, model)
+        direct = (sq_norm(v) + sq_norm(vstar)) - (sq_norm(vp) + sq_norm(vps))
+        loss = energy_loss(v, vstar, sigma, model)
+        assert np.all(loss >= 0.0)
+        assert np.all(np.abs(loss - direct) < 1e-10 * np.maximum(1.0, loss))
 
 
 def test_angular_average_mass_and_momentum():
@@ -208,3 +204,24 @@ def test_angular_average_batch_matches_per_pair(models, rng):
         assert batch.shape == (7, 2)
         ref = [angular_average(psi, v[k], vstar[k], model, quad) for k in range(7)]
         np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
+
+
+def test_pair_forms_match_per_pair_calls(models, rng):
+    """A batch gives each pair's result bit for bit, v == v* included."""
+    v, vstar = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+    vstar[7] = v[7]
+    sigma, nhat = random_unit(rng, 40), random_unit(rng, 40)
+    for model in models.values():
+        vp, vps = post_collision_sigma(v, vstar, sigma, model)
+        wp, wps = post_collision_nhat(v, vstar, nhat, model)
+        loss = energy_loss(v, vstar, sigma, model)
+        assert vp.shape == wp.shape == (40, 3) and loss.shape == (40,)
+        for k in range(40):
+            one = post_collision_sigma(v[k], vstar[k], sigma[k], model)
+            np.testing.assert_array_equal(one, (vp[k], vps[k]))
+            one = post_collision_nhat(v[k], vstar[k], nhat[k], model)
+            np.testing.assert_array_equal(one, (wp[k], wps[k]))
+            one = energy_loss(v[k], vstar[k], sigma[k], model)
+            assert type(one) is float and one == loss[k]
+        np.testing.assert_array_equal((vp[7], vps[7]), (v[7], vstar[7]))
+        assert loss[7] == 0.0

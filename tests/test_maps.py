@@ -19,7 +19,7 @@ def test_eta_basics():
 def test_eta_sandwich(models):
     grid = np.logspace(-6, 4, 500)
     for model in models.values():
-        eta = np.array([maps.eta_e(model, r) for r in grid])
+        eta = maps.eta_e(model, grid)
         assert np.all(eta >= grid / 2.0)
         assert np.all(eta <= grid)
 
@@ -27,16 +27,15 @@ def test_eta_sandwich(models):
 def test_alpha_inverse_roundtrip(models, rng):
     r = rng.uniform(1e-4, 100.0, size=1000)
     for model in models.values():
-        for rk in r[:250]:
-            back = maps.alpha_e(model, maps.eta_e(model, rk))
-            assert abs(back - rk) < 1e-10 * max(1.0, rk)
+        back = maps.alpha_e(model, maps.eta_e(model, r))
+        assert np.all(np.abs(back - r) < 1e-10 * np.maximum(1.0, r))
 
 
 def test_alpha_sandwich_and_edges():
     model = viscoelastic(1.0)
     assert maps.alpha_e(model, 0.0) == 0.0
     s = np.logspace(-6, 4, 300)
-    alpha = np.array([maps.alpha_e(model, sk) for sk in s])
+    alpha = maps.alpha_e(model, s)
     assert np.all(alpha >= s * (1.0 - 1e-12))
     assert np.all(alpha <= 2.0 * s * (1.0 + 1e-12))
     assert maps.alpha_e(elastic(), 5.0) == pytest.approx(
@@ -47,11 +46,10 @@ def test_eta_prime_bounds(models):
     grid = np.logspace(-3, 3, 200)
     h = 1e-5
     for model in models.values():
-        for r in grid:
-            d = ((maps.eta_e(model, r + h * r) - maps.eta_e(model, r - h * r))
-                 / (2 * h * r))
-            assert d >= 0.5 - 1e-6
-            assert d <= maps.eta_e(model, r) / r + 1e-6
+        d = ((maps.eta_e(model, grid + h * grid) - maps.eta_e(model, grid - h * grid))
+             / (2 * h * grid))
+        assert np.all(d >= 0.5 - 1e-6)
+        assert np.all(d <= maps.eta_e(model, grid) / grid + 1e-6)
 
 
 def test_jacobian_constant_closed_form():
@@ -67,7 +65,7 @@ def test_jacobian_constant_closed_form():
 def test_jacobian_universal_bound(models):
     grid = np.logspace(-6, 4, 1000)
     for model in models.values():
-        jac = np.array([maps.jacobian_Je(model, rho) for rho in grid])
+        jac = maps.jacobian_Je(model, grid)
         assert np.all(jac >= 0.125 - 1e-9)
         assert np.all(jac <= 1.0 + 1e-9)
 
@@ -105,16 +103,20 @@ def test_pi_maps(models, rng):
     np.testing.assert_allclose(maps.pi_forward(elastic_model, w), w)
     np.testing.assert_allclose(maps.pi_inverse(elastic_model, w), w)
     for model in models.values():
-        for _ in range(250):
-            w = rng.normal(size=3) * rng.uniform(0.1, 10.0)
-            z = maps.pi_forward(model, w)
-            # Radial structure: |z| = eta(|w|) exactly.
-            assert np.linalg.norm(z) == pytest.approx(
-                maps.eta_e(model, np.linalg.norm(w)), rel=1e-14)
-            back = maps.pi_inverse(model, z)
-            assert np.max(np.abs(back - w)) < 1e-10 * max(1.0, np.linalg.norm(w))
+        w = rng.normal(size=(250, 3)) * rng.uniform(0.1, 10.0, size=(250, 1))
+        z = maps.pi_forward(model, w)
+        # Radial structure: |z| = eta(|w|) exactly.
+        wn = np.linalg.norm(w, axis=1)
+        np.testing.assert_allclose(np.linalg.norm(z, axis=1),
+                                   maps.eta_e(model, wn), rtol=1e-14, atol=0.0)
+        back = maps.pi_inverse(model, z)
+        assert np.all(np.max(np.abs(back - w), axis=1)
+                      < 1e-10 * np.maximum(1.0, wn))
         np.testing.assert_array_equal(maps.pi_inverse(model, np.zeros(3)),
                                       np.zeros(3))
+        one = maps.pi_inverse(model, z[0])
+        assert one.shape == (3,)
+        np.testing.assert_allclose(one, back[0], rtol=1e-15, atol=0.0)
 
 
 def test_composite_jacobian(models, rng):
@@ -136,3 +138,40 @@ def test_composite_jacobian(models, rng):
             expect = (1.0 + uhat @ sigma) / 8.0 * maps.jacobian_Je(
                 model, float(np.linalg.norm(z)))
             assert det == pytest.approx(expect, rel=1e-5, abs=1e-9)
+
+
+def reference_alpha(model, s):
+    """The bisection every element of alpha_e runs, one value at a time."""
+    if s == 0.0:
+        return 0.0
+    lo, hi = s, 2.0 * s
+    if maps.eta_e(model, lo) - s == 0.0:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if maps.eta_e(model, mid) - s <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < maps.ROOT_TOL * max(1.0, s):
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_array_forms_match_per_element_calls(models):
+    """An array gives each element's value bit for bit: every element of
+    alpha_e's bisection stops where a lone call stops."""
+    grid = np.concatenate([[0.0], np.logspace(-6, 4, 60)])
+    for model in models.values():
+        for fn in (maps.eta_e, maps.alpha_e, maps.theta_prime,
+                   maps.jacobian_Je):
+            vals = fn(model, grid)
+            assert vals.shape == grid.shape
+            one = [fn(model, float(x)) for x in grid]
+            assert all(type(x) is float for x in one)
+            np.testing.assert_array_equal(vals, one)
+            np.testing.assert_array_equal(fn(model, grid[1:].reshape(6, 10)),
+                                          vals[1:].reshape(6, 10))
+        np.testing.assert_array_equal(
+            maps.alpha_e(model, grid[::3]),
+            [reference_alpha(model, float(x)) for x in grid[::3]])
