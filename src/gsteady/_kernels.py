@@ -7,7 +7,8 @@ only where numpy's `pow` rounds differently from libm's.
 
 import numpy as np
 
-from .restitution import RestitutionModel, eval_e
+from .kinematics import _dot, sigma_collision
+from .restitution import RestitutionModel
 
 def collision_levels(idx_i, idx_j):
     """Dependency level of each candidate pair of a sequential sweep.
@@ -70,10 +71,8 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
         j = idx_j.take(ks)
         vi = vel.take(i, axis=0)
         vj = vel.take(j, axis=0)
-        ux = vi[:, 0] - vj[:, 0]
-        uy = vi[:, 1] - vj[:, 1]
-        uz = vi[:, 2] - vj[:, 2]
-        un = np.sqrt(ux * ux + uy * uy + uz * uz)
+        u = vi - vj
+        un = np.sqrt(_dot(u, u))
         over = un > umax
         if over.any():
             stop = min(stop, int(ks[over][0]))
@@ -81,24 +80,11 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
         hit = ~(over | (un <= 0.0) | (accept_u.take(ks) * umax >= un))
         if not hit.any():
             continue
-        ks, i, j = ks[hit], i[hit], j[hit]
-        ux, uy, uz, un = ux[hit], uy[hit], uz[hit], un[hit]
-        sig = sigma.take(ks, axis=0)
-        sx = sig[:, 0]
-        sy = sig[:, 1]
-        sz = sig[:, 2]
-        s = np.clip((ux * sx + uy * sy + uz * sz) / un, -1.0, 1.0)
-        impact = un * np.sqrt(0.5 * (1.0 - s))
-        e = eval_e(model, impact)
-        b = 0.5 * (1.0 + e)
-        h = np.empty((ks.size, 3))
-        h[:, 0] = 0.5 * b * (ux - un * sx)
-        h[:, 1] = 0.5 * b * (uy - un * sy)
-        h[:, 2] = 0.5 * b * (uz - un * sz)
-        vel[i] = vi[hit] - h
-        vel[j] = vj[hit] + h
+        ks = ks[hit]
+        h, terms[ks] = sigma_collision(u[hit], sigma.take(ks, axis=0), model)
+        vel[i[hit]] = vi[hit] - h
+        vel[j[hit]] = vj[hit] + h
         accepted[ks] = True
-        terms[ks] = 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
     # Accumulated in candidate order, as the sequential sweep adds them.
     loss = float(np.cumsum(terms[:stop])[-1]) if stop else 0.0
     return int(np.count_nonzero(accepted[:stop])), loss, int(stop < m)

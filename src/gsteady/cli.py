@@ -13,7 +13,6 @@ import hashlib
 import itertools
 import math
 import sys
-import time
 
 import click
 import numpy as np
@@ -22,7 +21,7 @@ from . import __version__
 from .config import build_setup, load_config, serialize_config
 from .dissipation import DissipationSpec, steady_temperature_ansatz, theta_limit
 from .dsmc import SERIES_COLUMNS, run_many, run_to_steady, save_snapshot
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .observables import maxwellian_distance
 from .restitution import rescale
 from .scaling import two_sample_z
@@ -41,8 +40,7 @@ def manifest_hash(values: dict, extra: str = "") -> str:
 
 
 def _manifest_line(values: dict, extra: str = "") -> str:
-    return (f"# gsteady-manifest {manifest_hash(values, extra)} "
-            f"version={__version__} wall={time.time():.0f}")
+    return f"# gsteady-manifest {manifest_hash(values, extra)} version={__version__}"
 
 
 def write_csv(path, columns, rows, manifest: str) -> None:
@@ -67,7 +65,7 @@ def simulate(config_path, out_prefix):
     try:
         values = load_config(config_path)
         setup = build_setup(values)
-    except ConfigError as exc:
+    except InputError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
     ens, report = run_to_steady(setup.engine, setup.model, setup.init)
@@ -95,7 +93,7 @@ def sweep_lambda(config_path, lambdas, out):
     try:
         values = load_config(config_path)
         setup = build_setup(values)
-    except ConfigError as exc:
+    except InputError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
     bad = [lam for lam in lambdas if not 0.0 < lam <= 1.0]
@@ -209,7 +207,7 @@ def uniqueness_probe(config_path, inits, seeds):
     try:
         values = load_config(config_path)
         setup = build_setup(values)
-    except ConfigError as exc:
+    except InputError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
     if len(inits) < 2:

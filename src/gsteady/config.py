@@ -1,4 +1,8 @@
-"""Flat key=value run configuration: parsing, validation, serialization."""
+"""Flat key=value run configuration: parsing, validation, serialization.
+
+Each key sets one field of EngineConfig, RestitutionModel or
+InitialCondition; a key that a config leaves out keeps that field's default.
+"""
 
 from __future__ import annotations
 
@@ -7,35 +11,32 @@ from dataclasses import dataclass
 
 from .dsmc import EngineConfig, InitialCondition
 from .errors import ConfigError
-from .restitution import (CONSTANT, POWER_LAW, VISCOELASTIC, RestitutionModel,
-                          rescale)
+from .restitution import CONSTANT, POWER_LAW, VISCOELASTIC, RestitutionModel
 
-_BOOL = {"true": True, "1": True, "yes": True, "on": True,
-         "false": False, "0": False, "no": False, "off": False}
-
-# key -> (converter, required)
-_SCHEMA = {
-    "engine.N": (int, True),
-    "engine.dt": (float, True),
-    "engine.mu": (float, True),
-    "engine.seed": (int, False),
-    "engine.recenter": ("bool", False),
-    "restitution.kind": (str, True),
-    "restitution.a": (float, False),
-    "restitution.gamma": (float, False),
-    "restitution.gamma_bar": (float, False),
-    "restitution.e0": (float, False),
-    "restitution.lambda": (float, False),
-    "init.kind": (str, False),
-    "init.T0": (float, False),
-    "init.v0": (float, False),
-    "init.R": (float, False),
-    "run.max_steps": (int, False),
-    "run.window": (int, False),
-    "run.tol": (float, False),
-    "run.sample_every": (int, False),
-    "run.diss_pairs": (int, False),
+# key -> (part of the RunSetup, field of that part, converter)
+KEYS = {
+    "engine.N": ("engine", "n", int),
+    "engine.dt": ("engine", "dt", float),
+    "engine.mu": ("engine", "mu", float),
+    "engine.seed": ("engine", "seed", int),
+    "restitution.kind": ("model", "kind", str),
+    "restitution.a": ("model", "a", float),
+    "restitution.gamma": ("model", "gamma", float),
+    "restitution.e0": ("model", "e0", float),
+    "restitution.lambda": ("model", "lambda_scale", float),
+    "init.kind": ("init", "kind", str),
+    "init.T0": ("init", "t0", float),
+    "init.v0": ("init", "v0", float),
+    "init.R": ("init", "radius", float),
+    "run.max_steps": ("engine", "max_steps", int),
+    "run.window": ("engine", "window", int),
+    "run.tol": ("engine", "tol", float),
+    "run.sample_every": ("engine", "sample_every", int),
+    "run.diss_pairs": ("engine", "diss_pairs", int),
 }
+REQUIRED = ("engine.N", "engine.dt", "engine.mu", "restitution.kind")
+# The key a law cannot do without, beyond restitution.kind.
+_LAW_NEEDS = {CONSTANT: "restitution.e0", POWER_LAW: "restitution.gamma"}
 
 _LAW_ALIASES = {
     "constant": CONSTANT,
@@ -57,20 +58,17 @@ def parse_config_text(text: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        conv, _ = _SCHEMA[key]
+        conv = KEYS[key][2]
         try:
-            if conv == "bool":
-                values[key] = _BOOL[val.lower()]
-            else:
-                values[key] = conv(val)
+            values[key] = conv(val)
             if conv is float and not math.isfinite(values[key]):
                 raise ValueError(val)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ConfigError(f"line {lineno}: bad value for {key}: {val!r}") from None
-    for key, (_, required) in _SCHEMA.items():
-        if required and key not in values:
+    for key in REQUIRED:
+        if key not in values:
             raise ConfigError(f"missing required key {key}")
     return values
 
@@ -81,13 +79,8 @@ def load_config(path) -> dict:
 
 
 def serialize_config(values: dict) -> str:
-    return "".join(f"{k} = {_fmt(v)}\n" for k, v in sorted(values.items()))
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return repr(v) if isinstance(v, float) else str(v)
+    return "".join(f"{k} = {repr(v) if isinstance(v, float) else v}\n"
+                   for k, v in sorted(values.items()))
 
 
 @dataclass(frozen=True)
@@ -95,49 +88,22 @@ class RunSetup:
     engine: EngineConfig
     model: RestitutionModel
     init: InitialCondition
-    raw: dict
 
 
 def build_setup(values: dict) -> RunSetup:
     """Materialize engine/model/init objects from parsed key=value pairs."""
-    kind_raw = str(values["restitution.kind"]).lower()
-    if kind_raw not in _LAW_ALIASES:
+    kind = str(values["restitution.kind"]).lower()
+    if kind not in _LAW_ALIASES:
         raise ConfigError(f"restitution.kind must be one of "
-                          f"{sorted(set(_LAW_ALIASES))}, got {kind_raw!r}")
-    kind = _LAW_ALIASES[kind_raw]
-    kwargs: dict = {"kind": kind}
-    if kind == CONSTANT:
-        if "restitution.e0" not in values:
-            raise ConfigError("constant restitution requires restitution.e0")
-        kwargs["e0"] = values["restitution.e0"]
-    else:
-        kwargs["a"] = values.get("restitution.a", 1.0)
-        if kind == POWER_LAW:
-            if "restitution.gamma" not in values:
-                raise ConfigError("power_law restitution requires restitution.gamma")
-            kwargs["gamma"] = values["restitution.gamma"]
-        if "restitution.gamma_bar" in values:
-            kwargs["gamma_bar"] = values["restitution.gamma_bar"]
-    model = RestitutionModel(**kwargs)
-    if "restitution.lambda" in values:
-        model = rescale(model, values["restitution.lambda"])
-
-    engine = EngineConfig(
-        n=values["engine.N"],
-        dt=values["engine.dt"],
-        mu=values["engine.mu"],
-        seed=values.get("engine.seed", 0),
-        recenter=values.get("engine.recenter", True),
-        max_steps=values.get("run.max_steps", 20000),
-        window=values.get("run.window", 200),
-        tol=values.get("run.tol", 0.01),
-        sample_every=values.get("run.sample_every", 10),
-        diss_pairs=values.get("run.diss_pairs", 100_000),
-    )
-    init = InitialCondition(
-        kind=values.get("init.kind", "maxwellian"),
-        t0=values.get("init.T0", 1.0),
-        v0=values.get("init.v0", 1.0),
-        radius=values.get("init.R", 1.0),
-    )
-    return RunSetup(engine=engine, model=model, init=init, raw=dict(values))
+                          f"{sorted(_LAW_ALIASES)}, got {kind!r}")
+    kind = _LAW_ALIASES[kind]
+    if kind in _LAW_NEEDS and _LAW_NEEDS[kind] not in values:
+        raise ConfigError(f"{kind} restitution requires {_LAW_NEEDS[kind]}")
+    parts: dict[str, dict] = {"engine": {}, "model": {}, "init": {}}
+    for key, value in values.items():
+        part, name, _ = KEYS[key]
+        parts[part][name] = value
+    parts["model"]["kind"] = kind
+    return RunSetup(engine=EngineConfig(**parts["engine"]),
+                    model=RestitutionModel(**parts["model"]),
+                    init=InitialCondition(**parts["init"]))

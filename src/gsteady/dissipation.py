@@ -32,16 +32,12 @@ class DissipationSpec:
 
     model: RestitutionModel
     n_z: int = 64
-    a: float = field(init=False)
-    gamma: float = field(init=False)
     _z: np.ndarray = field(init=False, repr=False)
     _wz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_z < 8:
             raise InputError("Psi_e quadrature needs at least 8 nodes")
-        object.__setattr__(self, "a", self.model.a)
-        object.__setattr__(self, "gamma", self.model.gamma)
         z, w = gauss_legendre(self.n_z)
         object.__setattr__(self, "_z", 0.5 * (z + 1.0))
         object.__setattr__(self, "_wz", 0.5 * w)
@@ -66,8 +62,8 @@ def zeta_lambda(spec: DissipationSpec, lam: float, r2):
     """Rescaled potential lam^{-(3+gamma)} Psi_e(lam^2 r^2)."""
     if not 0.0 < lam <= 1.0:
         raise InputError("lambda must lie in (0, 1]")
-    g = spec.gamma
-    return lam ** (-(3.0 + g)) * psi_e(spec, lam * lam * np.asarray(r2, dtype=float))
+    return (lam ** (-(3.0 + spec.model.gamma))
+            * psi_e(spec, lam * lam * np.asarray(r2, dtype=float)))
 
 
 def zeta_zero(a: float, gamma: float, r2):
@@ -76,14 +72,13 @@ def zeta_zero(a: float, gamma: float, r2):
 
 
 def dissipation_functional(velocities, zeta, n_pairs: int | None = None,
-                           rng: np.random.Generator | None = None,
-                           exact_threshold: int = 2000) -> float:
+                           rng: np.random.Generator | None = None) -> float:
     """Unbiased pairwise estimate of the double integral f f zeta(|v-v*|^2).
 
-    All N(N-1)/2 pairs are enumerated for small ensembles; larger ones use
-    n_pairs uniformly sampled unordered pairs (default 10^6).  The i == j
-    diagonal of the population functional vanishes because zeta(0) = 0,
-    leaving the (N-1)/N prefactor on the unordered-pair mean.
+    Every one of the N(N-1)/2 unordered pairs is evaluated when n_pairs is
+    None or at least that count; otherwise n_pairs uniformly sampled pairs
+    are.  The i == j diagonal of the population functional vanishes because
+    zeta(0) = 0, leaving the (N-1)/N prefactor on the unordered-pair mean.
     """
     vel = np.asarray(velocities, dtype=float)
     if vel.ndim != 2 or vel.shape[1] != 3:
@@ -93,20 +88,16 @@ def dissipation_functional(velocities, zeta, n_pairs: int | None = None,
         raise InputError("empty ensemble")
     if n == 1:
         return 0.0
-    if n <= exact_threshold and n_pairs is None:
-        diff = vel[:, None, :] - vel[None, :, :]
-        r2 = np.einsum("ijk,ijk->ij", diff, diff)
-        iu = np.triu_indices(n, k=1)
-        mean = float(np.mean(zeta(r2[iu])))
+    if n_pairs is None or n_pairs >= n * (n - 1) // 2:
+        ii, jj = np.triu_indices(n, k=1)
     else:
-        m = 1_000_000 if n_pairs is None else int(n_pairs)
         if rng is None:
             rng = np.random.default_rng(0)
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n - 1, size=m)
+        ii = rng.integers(0, n, size=n_pairs)
+        jj = rng.integers(0, n - 1, size=n_pairs)
         jj = jj + (jj >= ii)
-        diff = vel[ii] - vel[jj]
-        mean = float(np.mean(zeta(np.einsum("ij,ij->i", diff, diff))))
+    diff = vel[ii] - vel[jj]
+    mean = float(np.mean(zeta(np.einsum("ij,ij->i", diff, diff))))
     return (n - 1) / n * mean
 
 

@@ -3,7 +3,7 @@
 Each step splits the dynamics into a Brownian bath kick (exact
 Euler-Maruyama form of the Laplacian forcing), a majorant-rate collision
 sweep (Poisson candidate count, acceptance |u|/U_max, uniform scattering
-direction) and an optional momentum recentering.  All randomness comes
+direction) and a momentum recentering.  All randomness comes
 from counter-based Philox streams keyed by (seed, step, substream), so a
 run is bit-reproducible from its configuration alone.  Independent runs go
 through run_many, which spreads them over a fork process pool.
@@ -57,7 +57,6 @@ class EngineConfig:
     dt: float
     mu: float
     seed: int = 0
-    recenter: bool = True
     max_steps: int = 20000
     window: int = 200
     tol: float = 0.01
@@ -107,7 +106,7 @@ class Ensemble:
 
 @dataclass
 class InitialCondition:
-    kind: str  # maxwellian | bimodal | uniform_ball
+    kind: str = "maxwellian"  # maxwellian | bimodal | uniform_ball
     t0: float = 1.0
     v0: float = 1.0
     radius: float = 1.0
@@ -189,6 +188,8 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
         ens.bath_energy += float(np.einsum("ij,ij->", vel, vel)) - before
 
     vmax = math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
+    if not math.isfinite(vmax):
+        raise TimeStepError("non-finite velocity; check dt and mu")
     umax = _UMAX_FACTOR * 2.0 * vmax
     accepted = 0
     if umax > 0.0:
@@ -210,8 +211,6 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
             ens.n_candidates += m
             ens.n_collisions += accepted
             ens.collision_loss += loss
-        if not np.all(np.isfinite(vel)):
-            raise TimeStepError("non-finite velocity; check dt and mu")
 
     ens.collision_prob_ema = (0.9 * ens.collision_prob_ema
                               + 0.1 * (2.0 * accepted / n))
@@ -220,10 +219,9 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
             f"per-particle collision probability per step "
             f"{ens.collision_prob_ema:.3f} exceeds 0.2; reduce dt")
 
-    if config.recenter:
-        mean = vel.mean(axis=0)
-        ens.recenter_energy -= n * float(mean @ mean)
-        vel -= mean
+    mean = vel.mean(axis=0)
+    ens.recenter_energy -= n * float(mean @ mean)
+    vel -= mean
 
     ens.t += dt
     ens.step_count += 1
@@ -256,10 +254,8 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
             continue
         row = (ens.step_count, ens.t, *moments(ens).moments.values(),
                dissipation_functional(
-                   ens.velocities, lambda r2: psi_e(spec, r2),
-                   n_pairs=None if ens.n * (ens.n - 1) // 2 <= config.diss_pairs
-                   else config.diss_pairs,
-                   rng=_stream(config.seed, ens.step_count, _STREAM_DIAG)),
+                   ens.velocities, lambda r2: psi_e(spec, r2), config.diss_pairs,
+                   _stream(config.seed, ens.step_count, _STREAM_DIAG)),
                ens.accept_ratio())
         series.append(row)
         if len(series) >= config.window:
@@ -355,4 +351,6 @@ def load_snapshot(path) -> Ensemble:
         raise InputError(f"snapshot body holds {len(body)} bytes; "
                          f"N={n} needs {24 * n}")
     data = np.frombuffer(body, dtype="<f8").reshape(n, 3)
+    if not np.all(np.isfinite(data)):
+        raise InputError("snapshot holds a non-finite velocity")
     return Ensemble(velocities=data.copy(), **state)

@@ -78,15 +78,19 @@ def _check_unit(vec, name: str) -> np.ndarray:
     return vec
 
 
-def _sigma_collision(u, sigma: np.ndarray, model: RestitutionModel):
-    """(|u|, s, e) of the sigma-form collision, s = cos(u, sigma).
+def sigma_collision(u, sigma, model: RestitutionModel):
+    """(h, loss) of sigma-form collisions with relative velocity u = v - v*:
+    v' = v - h, v*' = v* + h, and loss >= 0 is the kinetic energy dissipated.
 
-    A pair with v == v* has u = 0, so its impact speed, velocity change
-    and energy loss come out 0 without a special case.
+    Unchecked: sigma must be a unit vector of u's shape.  A pair with
+    v == v* has u = 0, so its h and loss come out 0 without a special case.
     """
     un = np.sqrt(_dot(u, u))
     s = np.clip(_dot(u, sigma) / np.where(un == 0.0, 1.0, un), -1.0, 1.0)
-    return un, s, eval_e(model, un * np.sqrt(0.5 * (1.0 - s)))
+    e = np.asarray(eval_e(model, un * np.sqrt(0.5 * (1.0 - s))))
+    b = 0.5 * (1.0 + e)
+    h = 0.5 * b[..., None] * (u - un[..., None] * sigma)
+    return h, 0.25 * un * un * (1.0 - s) * (1.0 - e * e)
 
 
 def post_collision_sigma(v, vstar, sigma, model: RestitutionModel):
@@ -96,11 +100,7 @@ def post_collision_sigma(v, vstar, sigma, model: RestitutionModel):
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
-    sigma = _check_unit(sigma, "sigma")
-    u = v - vstar
-    un, _, e = _sigma_collision(u, sigma, model)
-    b = 0.5 * (1.0 + np.asarray(e))
-    h = 0.5 * b[..., None] * (u - un[..., None] * sigma)
+    h, _ = sigma_collision(v - vstar, _check_unit(sigma, "sigma"), model)
     return v - h, vstar + h
 
 
@@ -122,8 +122,8 @@ def energy_loss(v, vstar, sigma, model: RestitutionModel):
     """Kinetic energy dissipated by a collision (non-negative): a float for
     one pair (3,), shape (m,) for a batch (m, 3)."""
     u = np.asarray(v, dtype=float) - np.asarray(vstar, dtype=float)
-    un, s, e = _sigma_collision(u, _check_unit(sigma, "sigma"), model)
-    return scalar_or_array(0.25 * un * un * (1.0 - s) * (1.0 - e * e))
+    _, loss = sigma_collision(u, _check_unit(sigma, "sigma"), model)
+    return scalar_or_array(loss)
 
 
 def post_collision_grid(v, vstar, model: RestitutionModel,

@@ -31,17 +31,12 @@ _NEWTON_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class RestitutionModel:
-    """Immutable description of a restitution law e(.).
-
-    gamma_bar is the second-order exponent of the small-impact expansion;
-    it defaults to 2*gamma for the power law and 2/5 for viscoelastic.
-    """
+    """Immutable description of a restitution law e(.)."""
 
     kind: str
     e0: float = 1.0
     a: float = 1.0
     gamma: float = VISCO_GAMMA
-    gamma_bar: float | None = None
     lambda_scale: float = 1.0
 
     def __post_init__(self):
@@ -57,11 +52,12 @@ class RestitutionModel:
             object.__setattr__(self, "gamma", VISCO_GAMMA)
         if not 0.0 < self.lambda_scale <= 1.0:
             raise InputError("lambda_scale must lie in (0, 1]")
-        if self.gamma_bar is None:
-            bar = VISCO_GAMMA_BAR if self.kind == VISCOELASTIC else 2.0 * self.gamma
-            object.__setattr__(self, "gamma_bar", bar)
-        elif self.gamma_bar <= self.gamma:
-            raise InputError("gamma_bar must exceed gamma")
+
+    @property
+    def gamma_bar(self) -> float:
+        """Second-order exponent of the small-impact expansion, fixed by the
+        law: 2 gamma for the power law, 2/5 for the viscoelastic law."""
+        return VISCO_GAMMA_BAR if self.kind == VISCOELASTIC else 2.0 * self.gamma
 
 
 def constant(e0: float) -> RestitutionModel:

@@ -1,10 +1,15 @@
-import numpy as np
+import re
+
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsteady.cli import main
-from gsteady.config import (build_setup, parse_config_text, serialize_config)
+from gsteady.config import KEYS, build_setup, parse_config_text, serialize_config
+from gsteady.dsmc import EngineConfig, InitialCondition
 from gsteady.errors import ConfigError
+from gsteady.restitution import viscoelastic
 
 BASE_CONFIG = """
 engine.N = 400
@@ -61,13 +66,92 @@ def test_config_errors_name_the_key():
             "restitution.kind = power_law\n"))
 
 
-def test_config_comments_and_bools():
+def test_config_comments_and_removed_keys(runner, tmp_path):
+    """Comments are dropped; recentering is unconditional and gamma_bar is
+    fixed by the law, so neither is a key any more."""
     values = parse_config_text(
         "engine.N = 8  # particles\nengine.dt = 0.1\nengine.mu = 0\n"
-        "engine.recenter = off\nrestitution.kind = viscoelastic\n")
-    setup = build_setup(values)
-    assert setup.engine.recenter is False
-    assert setup.model.kind == "viscoelastic"
+        "restitution.kind = viscoelastic\n")
+    assert build_setup(values).model.kind == "viscoelastic"
+    for line in ("engine.recenter = off", "restitution.gamma_bar = 0.4"):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(BASE_CONFIG + line + "\n")
+        res = runner.invoke(main, ["simulate", write(tmp_path, BASE_CONFIG + line),
+                                   "--out-prefix", str(tmp_path / "x")])
+        assert res.exit_code == 1
+        assert f"config error: line 14: unknown key '{key}'" in res.output
+    assert not (tmp_path / "x_series.csv").exists()
+
+
+def test_minimal_config_takes_dataclass_defaults():
+    setup = build_setup(parse_config_text(
+        "engine.N = 10\nengine.dt = 0.1\nengine.mu = 0.5\n"
+        "restitution.kind = viscoelastic\n"))
+    assert setup.engine == EngineConfig(10, 0.1, 0.5)
+    assert setup.init == InitialCondition()
+    assert setup.model == viscoelastic(1.0)
+
+
+def _valid_values():
+    """A value inside its field's valid range for every key of the table."""
+    def floats(lo, hi, **kw):
+        return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+    unit = floats(0.0, 1.0, exclude_min=True)
+    return st.fixed_dictionaries({
+        "engine.N": st.integers(2, 10 ** 9),
+        "engine.dt": floats(0.0, 1e300, exclude_min=True),
+        "engine.mu": floats(0.0, 1e300),
+        "engine.seed": st.integers(0, 2 ** 64 - 1),
+        "restitution.kind": st.sampled_from(
+            ["constant", "power_law", "powerlaw", "viscoelastic"]),
+        "restitution.a": floats(0.0, 1e300, exclude_min=True),
+        "restitution.gamma": unit,
+        "restitution.e0": unit,
+        "restitution.lambda": unit,
+        "init.kind": st.sampled_from(["maxwellian", "bimodal", "uniform_ball"]),
+        "init.T0": floats(-1e300, 1e300),
+        "init.v0": floats(-1e300, 1e300),
+        "init.R": floats(-1e300, 1e300),
+        "run.max_steps": st.integers(0, 10 ** 9),
+        "run.window": st.integers(2, 10 ** 6),
+        "run.tol": floats(0.0, 1e300, exclude_min=True),
+        "run.sample_every": st.integers(1, 10 ** 6),
+        "run.diss_pairs": st.integers(0, 10 ** 12),
+    })
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_valid_values())
+def test_config_roundtrip_property(values):
+    """Every key of the table survives serialize -> parse unchanged and
+    lands in its own dataclass field."""
+    assert set(values) == set(KEYS)
+    text = serialize_config(values)
+    assert parse_config_text(text) == values
+    setup = build_setup(parse_config_text(text))
+    assert setup == build_setup(values)
+    law = setup.model.kind
+    for key, (part, name, _) in KEYS.items():
+        got = getattr(getattr(setup, part), name)
+        if key == "restitution.kind":
+            assert got == values[key].replace("powerlaw", "power_law")
+        elif key == "restitution.gamma" and law == "viscoelastic":
+            assert got == 0.2  # the viscoelastic law fixes its own exponent
+        else:
+            assert got == values[key]
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from([k for k, (_, _, conv) in KEYS.items()
+                            if conv is float]),
+       value=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e999"]))
+def test_config_rejects_non_finite_property(key, value):
+    text = ("engine.N = 10\nengine.dt = 0.1\nengine.mu = 0.5\n"
+            "restitution.kind = viscoelastic\n")
+    with pytest.raises(ConfigError, match=f"bad value for {re.escape(key)}"):
+        parse_config_text(text + f"{key} = {value}\n")
 
 
 def test_simulate_missing_key_exits_1(runner, tmp_path):
@@ -75,6 +159,17 @@ def test_simulate_missing_key_exits_1(runner, tmp_path):
     result = runner.invoke(main, ["simulate", cfg])
     assert result.exit_code == 1
     assert "restitution.kind" in result.output
+
+
+def test_simulate_bad_model_value_exits_1(runner, tmp_path):
+    """A value the restitution model refuses is a config error, not a
+    traceback."""
+    cfg = write(tmp_path, BASE_CONFIG.replace("restitution.e0 = 1.0",
+                                              "restitution.e0 = 1.5"))
+    result = runner.invoke(main, ["simulate", cfg])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "config error: constant restitution requires e0 in (0, 1]" in result.output
 
 
 def test_simulate_elastic_reaches_t0(runner, tmp_path):
@@ -184,6 +279,21 @@ def test_sweep_lambda_rejects_bad_lambda_before_running(runner, tmp_path,
     assert "lambda 1.7 outside (0, 1]" in bad.output
     assert runs == []
     assert not out.exists()
+
+
+def test_simulate_outputs_byte_identical(runner, tmp_path):
+    """Two runs of one config write the same bytes: the manifest line
+    carries the config hash and version, not the wall clock."""
+    cfg = write(tmp_path, BASE_CONFIG)
+    outputs = []
+    for tag in ("a", "b"):
+        res = runner.invoke(main, ["simulate", cfg, "--out-prefix",
+                                   str(tmp_path / tag)])
+        assert res.exit_code == 0
+        outputs.append([(tmp_path / f"{tag}_{kind}.csv").read_bytes()
+                        for kind in ("series", "report")])
+    assert outputs[0] == outputs[1]
+    assert b"wall=" not in outputs[0][0]
 
 
 def test_snapshot_determinism_via_cli(runner, tmp_path):

@@ -38,9 +38,10 @@ def test_psi_small_r_asymptotic():
     """Psi(r) -> a r^{(3+gamma)/2}/(4+gamma) with relative error O(a r^{gamma/2});
     for gamma = 0.2 the 1e-2 band therefore needs r below ~1e-22."""
     spec = DissipationSpec(power_law(1.0, 0.2))
+    m = spec.model
     ratios = []
     for r in (1e-6, 1e-12, 1e-24):
-        ref = spec.a * r ** (0.5 * (3.0 + spec.gamma)) / (4.0 + spec.gamma)
+        ref = m.a * r ** (0.5 * (3.0 + m.gamma)) / (4.0 + m.gamma)
         ratios.append(psi_e(spec, r) / ref)
     assert ratios[0] < ratios[1] < ratios[2] <= 1.0
     assert ratios[2] == pytest.approx(1.0, abs=1e-2)
@@ -65,7 +66,7 @@ def test_psi_convex_nondecreasing():
 def test_psi_upper_bound_power():
     spec = DissipationSpec(power_law(1.0, 0.2))
     r = np.logspace(-3, 3, 200)
-    ratio = psi_e(spec, r * r) / r ** (3.0 + spec.gamma)
+    ratio = psi_e(spec, r * r) / r ** (3.0 + spec.model.gamma)
     assert np.all(np.isfinite(ratio))
     assert np.max(ratio) < 10.0
 
@@ -118,6 +119,29 @@ def test_functional_sampled_close_to_exact(rng):
     exact = dissipation_functional(vel, zeta)
     sampled = dissipation_functional(vel, zeta, n_pairs=200_000, rng=rng)
     assert sampled == pytest.approx(exact, rel=0.02)
+
+
+def test_functional_all_pairs_when_asked_for_more(rng):
+    """n_pairs at or above N(N-1)/2 evaluates every pair once: N=3000 with
+    5e6 pairs asked for gives the mean over its 4,498,500 pairs."""
+    n = 3000
+    vel = rng.normal(size=(n, 3))
+    sizes = []
+
+    def zeta(r2):
+        sizes.append(r2.size)
+        return r2
+
+    total = n * (n - 1) // 2
+    # Mean of |v_i - v_j|^2 over the pairs i < j, summed row by row.
+    direct = sum(float(np.sum((vel[i] - vel[i + 1:]) ** 2))
+                 for i in range(n - 1)) / total
+    for n_pairs in (5_000_000, total):
+        est = dissipation_functional(vel, zeta, n_pairs)
+        assert sizes.pop() == total
+        assert est == pytest.approx((n - 1) / n * direct, rel=1e-12)
+    dissipation_functional(vel, zeta, total - 1, np.random.default_rng(1))
+    assert sizes.pop() == total - 1
 
 
 def test_functional_maxwellian_gives_six(rng):

@@ -169,14 +169,14 @@ def test_failed_step_restores_state(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 400), dt=st.floats(1e-3, 0.1), mu=st.floats(0.0, 2.0),
-       lam=st.floats(1e-3, 1.0), recenter=st.booleans(),
+       lam=st.floats(1e-3, 1.0),
        law=st.sampled_from([constant(0.3), power_law(1.0, 0.2),
                             viscoelastic(1.0)]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_ledger_exact_property(n, dt, mu, lam, recenter, law, seed):
+def test_ledger_exact_property(n, dt, mu, lam, law, seed):
     """E - E0 = bath + recenter - loss to round-off on every law, odd N
     included, up to the first step that raises TimeStepError."""
-    cfg = EngineConfig(n=n, dt=dt, mu=mu, seed=seed, recenter=recenter)
+    cfg = EngineConfig(n=n, dt=dt, mu=mu, seed=seed)
     model = rescale(law, lam)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
     e0 = ens.energy()
@@ -284,6 +284,50 @@ def test_snapshot_resume_bit_identical(tmp_path):
     assert got[1:] == want[1:]
     assert resumed.n_collisions > 0
     _assert_ledger_exact(resumed, e0)
+
+
+def test_snapshot_with_nan_rejected(tmp_path):
+    cfg = small_config()
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    ens.velocities[17, 1] = math.nan
+    path = tmp_path / "snap.bin"
+    save_snapshot(path, ens)
+    with pytest.raises(InputError, match="non-finite"):
+        load_snapshot(path)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_step_with_nan_raises_and_restores(mu):
+    """A NaN velocity stops the step before the collisions, which would
+    otherwise skip it (U_max is NaN) while recentering spreads it."""
+    cfg = small_config(mu=mu)
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    ens.velocities[17, 1] = math.nan
+    before = _ledger_state(ens)
+    with pytest.raises(TimeStepError, match="non-finite"):
+        step(ens, cfg, power_law(1.0, 0.2))
+    after = _ledger_state(ens)
+    np.testing.assert_array_equal(after[0], before[0])
+    assert after[1:] == before[1:]
+
+
+def test_run_to_steady_passes_diss_pairs(monkeypatch):
+    """run_to_steady hands run.diss_pairs to the pair diagnostic unchanged,
+    above and below the ensemble's pair count alike."""
+    seen = []
+    real = dsmc.dissipation_functional
+
+    def spy(vel, zeta, n_pairs, rng):
+        seen.append(n_pairs)
+        return real(vel, zeta, n_pairs, rng)
+
+    monkeypatch.setattr(dsmc, "dissipation_functional", spy)
+    for pairs in (50, 5_000_000):
+        seen.clear()
+        run_to_steady(small_config(n=40, max_steps=10, sample_every=5,
+                                   diss_pairs=pairs),
+                      constant(0.5), InitialCondition())
+        assert seen == [pairs, pairs]
 
 
 @pytest.mark.parametrize("resize", [-10, 1])

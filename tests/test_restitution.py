@@ -123,9 +123,10 @@ def test_input_validation():
 
 
 def test_gamma_bar_defaults():
+    """gamma_bar follows from the law and cannot be set."""
     assert power_law(1.0, 0.3).gamma_bar == pytest.approx(0.6)
     assert viscoelastic(1.0).gamma_bar == pytest.approx(0.4)
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):
         RestitutionModel(kind="power_law", a=1.0, gamma=0.5, gamma_bar=0.4)
 
 
