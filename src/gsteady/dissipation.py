@@ -76,13 +76,16 @@ def dissipation_functional(velocities, zeta, n_pairs: int | None = None,
     """Unbiased pairwise estimate of the double integral f f zeta(|v-v*|^2).
 
     Every one of the N(N-1)/2 unordered pairs is evaluated when n_pairs is
-    None or at least that count; otherwise n_pairs uniformly sampled pairs
-    are.  The i == j diagonal of the population functional vanishes because
-    zeta(0) = 0, leaving the (N-1)/N prefactor on the unordered-pair mean.
+    None or at least that count; otherwise n_pairs (at least 1) uniformly
+    sampled pairs are.  The i == j diagonal of the population functional
+    vanishes because zeta(0) = 0, leaving the (N-1)/N prefactor on the
+    unordered-pair mean.
     """
     vel = np.asarray(velocities, dtype=float)
     if vel.ndim != 2 or vel.shape[1] != 3:
         raise InputError("velocities must have shape (N, 3)")
+    if n_pairs is not None and n_pairs < 1:
+        raise InputError("n_pairs must be at least 1")
     n = vel.shape[0]
     if n == 0:
         raise InputError("empty ensemble")

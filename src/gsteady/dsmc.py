@@ -74,6 +74,10 @@ class EngineConfig:
             raise ConfigError("tol must be finite and positive")
         if self.window < 2 or self.sample_every < 1:
             raise ConfigError("invalid steady-detection window")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be at least 1")
+        if self.diss_pairs < 1:
+            raise ConfigError("diss_pairs must be at least 1")
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Two equivalent parametrizations of a binary inelastic collision are
 implemented: the scattering-direction form (sigma) and the impact-direction
 form (n-hat).  Both conserve momentum exactly and dissipate kinetic energy
-according to the velocity-dependent restitution law.
+according to the velocity-dependent restitution law.  The sphere averages
+take radial test functions psi(|w|^2), so the quadrature grid holds the
+post-collision squared speeds |v'|^2, |v'*|^2 and no velocity vectors.
 """
 
 from __future__ import annotations
@@ -128,52 +130,70 @@ def energy_loss(v, vstar, sigma, model: RestitutionModel):
 
 def post_collision_grid(v, vstar, model: RestitutionModel,
                         quad: AngularQuadrature):
-    """Post-collision velocities on the full sigma quadrature grid.
+    """Post-collision squared speeds on the full sigma quadrature grid.
 
     v, vstar are one pair of shape (3,) or a batch of shape (m, 3).  Returns
-    (vp, vps, w) with vp, vps of shape (..., n_s, n_phi, 3) and weights w of
-    shape (n_s,) normalized so that sum(w) / n_phi == 1, i.e. the pair
-    (w, uniform azimuth) integrates the isotropic kernel 1/(4 pi) d sigma.
+    (xp, xps, w): xp = |v'|^2 and xps = |v'*|^2 of shape (..., n_s, n_phi),
+    and weights w of shape (n_s,) normalized so that sum(w) / n_phi == 1,
+    i.e. the pair (w, uniform azimuth) integrates the isotropic kernel
+    1/(4 pi) d sigma.
+
+    Node (i, j) is the collision with direction
+    sigma_ij = s_i uhat + sin_i (cos phi_j e1 + sin phi_j e2), where s_i is
+    the i-th Gauss-Legendre node, sin_i = sqrt(1 - s_i^2),
+    phi_j = 2 pi j / n_phi, uhat = u / |u| with u = v - v*,
+    e1 = uhat x p / |uhat x p| with p = (0, 1, 0) when |uhat_x| > 0.9 and
+    p = (1, 0, 0) otherwise, and e2 = uhat x e1.
+
+    No velocity is built.  With c = beta_i / 2 (beta at the node's impact
+    speed |u| sqrt((1 - s_i) / 2)), k = 2 c |u|, vu = v.uhat, wu = v*.uhat
+    and ring_j = cos phi_j v.e1 + sin phi_j v.e2 (v* gives the same ring,
+    since u is normal to e1 and e2),
+    |v'|^2 = |v|^2 - k (1 - s_i) (vu - c |u|) + k sin_i ring_j and
+    |v'*|^2 = |v*|^2 + k (1 - s_i) (wu + c |u|) - k sin_i ring_j.
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     u = v - vstar
-    un = np.linalg.norm(u, axis=-1)
+    un = np.sqrt(_dot(u, u))
     if np.any(un == 0.0):
         raise InputError("angular grid undefined for zero relative velocity")
     uhat = u / un[..., None]
     # Orthonormal frame (uhat, e1, e2) around each relative velocity.
     pick = np.where(np.abs(uhat[..., :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
     e1 = np.cross(uhat, pick)
-    e1 /= np.linalg.norm(e1, axis=-1)[..., None]
+    e1 /= np.sqrt(_dot(e1, e1))[..., None]
     e2 = np.cross(uhat, e1)
     s = quad.nodes
     w = 0.5 * quad.weights
     phi = 2.0 * np.pi * np.arange(quad.n_phi) / quad.n_phi
     sin_t = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
-    # sigma[..., i, j, :] = s_i uhat + sin_i (cos phi_j e1 + sin phi_j e2)
-    sigma = (s[:, None, None] * uhat[..., None, None, :]
-             + sin_t[:, None, None] * (np.cos(phi)[:, None] * e1[..., None, None, :]
-                                       + np.sin(phi)[:, None] * e2[..., None, None, :]))
-    impact = un[..., None] * np.sqrt(0.5 * (1.0 - s))
-    b = np.asarray(beta(model, impact))
-    h = 0.5 * b[..., None, None] * (u[..., None, None, :]
-                                    - un[..., None, None, None] * sigma)
-    return v[..., None, None, :] - h, vstar[..., None, None, :] + h, w
+    un = un[..., None]
+    k = np.asarray(beta(model, un * np.sqrt(0.5 * (1.0 - s)))) * un
+    half = 0.5 * k  # c |u|
+    # The azimuth-free part, shape (..., n_s), and the ring term on top.
+    axial = (_dot(v, v)[..., None]
+             - k * (1.0 - s) * (_dot(v, uhat)[..., None] - half))
+    axial_s = (_dot(vstar, vstar)[..., None]
+               + k * (1.0 - s) * (_dot(vstar, uhat)[..., None] + half))
+    ring = (np.cos(phi) * _dot(v, e1)[..., None]
+            + np.sin(phi) * _dot(v, e2)[..., None])
+    turn = (k * sin_t)[..., None] * ring[..., None, :]
+    return axial[..., None] + turn, axial_s[..., None] - turn, w
 
 
 def gain_average(psi, v, vstar, model: RestitutionModel,
                  quad: AngularQuadrature | None = None):
-    """Isotropic sphere average of psi(v') + psi(v'*).
+    """Isotropic sphere average of psi(|v'|^2) + psi(|v'*|^2).
 
-    v, vstar are one pair (3,) or a batch (m, 3); psi must accept an array
-    of shape (..., 3) and return shape (...) or (..., k), and the result has
-    the batch shape followed by psi's trailing shape.
+    v, vstar are one pair (3,) or a batch (m, 3); psi takes squared speeds,
+    an array of shape (...), and returns shape (...) or (..., k); the result
+    has the batch shape followed by psi's trailing shape.
     """
     if quad is None:
         quad = AngularQuadrature()
-    vp, vps, w = post_collision_grid(v, vstar, model, quad)
-    vals = np.asarray(psi(vp)) + np.asarray(psi(vps))
+    xp, xps, w = post_collision_grid(v, vstar, model, quad)
+    vals = np.asarray(psi(xp)) + np.asarray(psi(xps))
     # Gauss-Legendre in cos(theta) over axis `lead`, uniform in azimuth.
     lead = np.ndim(v) - 1
     return np.tensordot(w, vals.mean(axis=lead + 1), axes=(0, lead))
@@ -181,14 +201,17 @@ def gain_average(psi, v, vstar, model: RestitutionModel,
 
 def angular_average(psi, v, vstar, model: RestitutionModel,
                     quad: AngularQuadrature | None = None):
-    """Isotropic sphere average of psi(v') + psi(v'*) - psi(v) - psi(v*).
+    """Isotropic sphere average of
+    psi(|v'|^2) + psi(|v'*|^2) - psi(|v|^2) - psi(|v*|^2).
 
-    Takes one pair or a batch, as gain_average does.  A single pair with
-    v == v* gives zeros; a batch must not contain one.
+    Takes one pair or a batch, and psi of the squared speed, as gain_average
+    does.  A single pair with v == v* gives zeros; a batch must not contain
+    one.
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
+    x, xstar = sq_norm(v), sq_norm(vstar)
     if v.ndim == 1 and np.array_equal(v, vstar):
-        return np.zeros_like(np.asarray(psi(v)))
+        return np.zeros_like(np.asarray(psi(x)))
     return (gain_average(psi, v, vstar, model, quad)
-            - np.asarray(psi(v)) - np.asarray(psi(vstar)))
+            - np.asarray(psi(x)) - np.asarray(psi(xstar)))

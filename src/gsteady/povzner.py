@@ -5,7 +5,8 @@ The angular kernel is the isotropic sphere average of
 Psi(|v'|^2) + Psi(|v'*|^2) - Psi(|v|^2) - Psi(|v*|^2); its claimed upper
 bound A (|v|^2 Psi'(|v*|^2) + |v*|^2 Psi'(|v|^2)) - k E^2 Psi''(E) holds
 with constants independent of the restitution law; for the isotropic
-cross-section, k eta_2(2) = 5/96.
+cross-section, k eta_2(2) = 5/96.  Psi(x) = x^p is applied directly to the
+squared speeds on kinematics.post_collision_grid's nodes.
 """
 
 from __future__ import annotations
@@ -59,15 +60,14 @@ def angular_kernel(v, vstar, p: float, model: RestitutionModel,
     One pair (3,) gives a float, 0.0 when v == v*; a batch (m, 3) gives
     shape (m,) and must not contain a pair with v == v*.
     """
-    return scalar_or_array(angular_average(lambda w: sq_norm(w) ** p, v, vstar,
-                                            model, quad))
+    return scalar_or_array(angular_average(lambda x: x ** p, v, vstar, model,
+                                            quad))
 
 
 def gain_term(v, vstar, p: float, model: RestitutionModel,
               quad: AngularQuadrature | None = None):
     """Sphere average of Psi(|v'|^2) + Psi(|v'*|^2) alone; one pair or a batch."""
-    return scalar_or_array(gain_average(lambda w: sq_norm(w) ** p, v, vstar,
-                                         model, quad))
+    return scalar_or_array(gain_average(lambda x: x ** p, v, vstar, model, quad))
 
 
 def gain_upper_bound(v, vstar, p: float, n_nodes: int = 128):

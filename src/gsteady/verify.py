@@ -83,7 +83,7 @@ def check_dissipation_bridge(n_pairs: int = 100, seed: int = 7):
         pairs = rng.normal(size=(n_pairs, 2, 3))
         v, vstar = pairs[:, 0], pairs[:, 1]
         un = np.linalg.norm(v - vstar, axis=1)
-        lhs = un * angular_average(sq_norm, v, vstar, model, quad)
+        lhs = un * angular_average(lambda x: x, v, vstar, model, quad)
         ref = -2.0 * psi_e(DissipationSpec(model), un * un)
         nonzero = ref != 0.0
         worst = np.max(np.abs(lhs - ref)[nonzero] / np.abs(ref[nonzero]),

@@ -114,11 +114,11 @@ def _valid_values():
         "init.T0": floats(-1e300, 1e300),
         "init.v0": floats(-1e300, 1e300),
         "init.R": floats(-1e300, 1e300),
-        "run.max_steps": st.integers(0, 10 ** 9),
+        "run.max_steps": st.integers(1, 10 ** 9),
         "run.window": st.integers(2, 10 ** 6),
         "run.tol": floats(0.0, 1e300, exclude_min=True),
         "run.sample_every": st.integers(1, 10 ** 6),
-        "run.diss_pairs": st.integers(0, 10 ** 12),
+        "run.diss_pairs": st.integers(1, 10 ** 12),
     })
 
 
@@ -170,6 +170,18 @@ def test_simulate_bad_model_value_exits_1(runner, tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "config error: constant restitution requires e0 in (0, 1]" in result.output
+
+
+def test_simulate_zero_diss_pairs_exits_1(runner, tmp_path):
+    """run.diss_pairs = 0 is a one-line config error, not a NaN estimate."""
+    cfg = write(tmp_path, BASE_CONFIG.replace("run.diss_pairs = 1000",
+                                              "run.diss_pairs = 0"))
+    result = runner.invoke(main, ["simulate", cfg,
+                                  "--out-prefix", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == "config error: diss_pairs must be at least 1"
+    assert not (tmp_path / "x_series.csv").exists()
 
 
 def test_simulate_elastic_reaches_t0(runner, tmp_path):

@@ -111,6 +111,9 @@ def test_functional_single_particle_and_errors():
         dissipation_functional(np.zeros((0, 3)), lambda r2: r2)
     with pytest.raises(InputError):
         dissipation_functional(np.zeros((4, 2)), lambda r2: r2)
+    for bad in (0, -5):
+        with pytest.raises(InputError, match="n_pairs must be at least 1"):
+            dissipation_functional(np.ones((4, 3)), lambda r2: r2, n_pairs=bad)
 
 
 def test_functional_sampled_close_to_exact(rng):

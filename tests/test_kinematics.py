@@ -4,9 +4,10 @@ import pytest
 from gsteady.dissipation import DissipationSpec, psi_e
 from gsteady.errors import InputError
 from gsteady.kinematics import (AngularQuadrature, angular_average,
-                                energy_loss, gauss_laguerre, gauss_legendre,
-                                post_collision_grid, post_collision_nhat,
-                                post_collision_sigma, sq_norm)
+                                energy_loss, gain_average, gauss_laguerre,
+                                gauss_legendre, post_collision_grid,
+                                post_collision_nhat, post_collision_sigma,
+                                sq_norm)
 from gsteady.restitution import constant, elastic, viscoelastic
 
 from conftest import random_unit
@@ -118,14 +119,13 @@ def test_energy_loss_matches_velocity_difference(models, rng):
         assert np.all(np.abs(loss - direct) < 1e-10 * np.maximum(1.0, loss))
 
 
-def test_angular_average_mass_and_momentum():
+def test_angular_average_mass_and_energy():
     quad = AngularQuadrature()
     v, vstar = np.array([0.4, -1.0, 2.0]), np.array([1.1, 0.2, -0.3])
-    model = viscoelastic(1.0)
-    mass = angular_average(lambda w: np.ones(w.shape[:-1]), v, vstar, model, quad)
+    mass = angular_average(np.ones_like, v, vstar, viscoelastic(1.0), quad)
     assert abs(mass) < 1e-12
-    mom = angular_average(lambda w: w, v, vstar, model, quad)
-    assert np.max(np.abs(mom)) < 1e-12
+    energy = angular_average(lambda x: x, v, vstar, elastic(), quad)
+    assert abs(energy) < 1e-12
 
 
 def test_dissipation_bridge(models, rng):
@@ -136,9 +136,7 @@ def test_dissipation_bridge(models, rng):
         for _ in range(100):
             v, vstar = rng.normal(size=3), rng.normal(size=3)
             un = float(np.linalg.norm(v - vstar))
-            lhs = un * float(angular_average(
-                lambda w: np.einsum("...k,...k->...", w, w),
-                v, vstar, model, quad))
+            lhs = un * float(angular_average(lambda x: x, v, vstar, model, quad))
             ref = -2.0 * psi_e(spec, un * un)
             if model.kind == "constant" and model.e0 == 1.0:
                 assert abs(lhs) < 1e-12
@@ -146,57 +144,90 @@ def test_dissipation_bridge(models, rng):
                 assert lhs == pytest.approx(ref, rel=1e-6)
 
 
+def grid_directions(v, vstar, quad):
+    """The node directions sigma_ij, of shape (m, n_s, n_phi, 3), built from
+    the frame rule that post_collision_grid documents."""
+    u = v - vstar
+    uhat = u / np.linalg.norm(u, axis=1, keepdims=True)
+    pick = np.where(np.abs(uhat[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    e1 = np.cross(uhat, pick)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(uhat, e1)
+    return sphere_grid(uhat, e1, e2, quad, 0.0)
+
+
+def sphere_grid(uhat, e1, e2, quad, phi0):
+    """s_i uhat + sin_i (cos phi e1 + sin phi e2) at phi = phi0 + 2 pi j / n_phi."""
+    s = quad.nodes[:, None, None]
+    sin_t = np.sqrt(1.0 - s * s)
+    phi = (phi0 + 2.0 * np.pi * np.arange(quad.n_phi) / quad.n_phi)[:, None]
+    ring = (np.cos(phi) * e1[:, None, None, :]
+            + np.sin(phi) * e2[:, None, None, :])
+    return s * uhat[:, None, None, :] + sin_t * ring  # (m, n_s, n_phi, 3)
+
+
 def test_grid_matches_post_collision_sigma(models, rng):
-    """Each node of the batched grid is post_collision_sigma at the node's
-    direction sigma_ij: a unit vector at cosine s_i to u whose azimuth about
-    u is 2 pi j / n_phi."""
+    """Each node of the squared-speed grid is sq_norm of post_collision_sigma
+    at the node's direction sigma_ij."""
     quad = AngularQuadrature(n_s=8, n_phi=6)
     v, vstar = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     v[0] = vstar[0] + [2.0, 0.1, 0.0]  # u near the first axis
-    u = v - vstar
-    un = np.linalg.norm(u, axis=1)
-    uhat = u / un[:, None]
-    # The elastic map v' = v - (u - |u| sigma) / 2 gives the directions back.
-    vp, _, w = post_collision_grid(v, vstar, elastic(), quad)
-    np.testing.assert_array_equal(w, 0.5 * quad.weights)
-    sigma = (2.0 * (vp - v[:, None, None]) + u[:, None, None]) / un[:, None, None, None]
+    v[3] = vstar[3] + [0.92, 0.0, 0.39]  # |uhat_x| just above 0.9
+    sigma = grid_directions(v, vstar, quad)
     np.testing.assert_allclose(np.linalg.norm(sigma, axis=-1), 1.0, atol=1e-14)
-    cos = np.einsum("mijk,mk->mij", sigma, uhat)
-    np.testing.assert_allclose(cos, np.broadcast_to(quad.nodes[:, None], cos.shape),
-                               atol=1e-14)
-    ring = sigma - cos[..., None] * uhat[:, None, None]
-    ring /= np.linalg.norm(ring, axis=-1, keepdims=True)
-    phi = 2.0 * np.pi * np.arange(6) / 6
-    ahead = np.cross(uhat[:, None, None], ring[:, :, :1])
-    np.testing.assert_allclose(np.einsum("mijk,mijk->mij", ring, ring[:, :, :1]),
-                               np.broadcast_to(np.cos(phi), cos.shape), atol=1e-13)
-    np.testing.assert_allclose(np.einsum("mijk,mijk->mij", ring, ahead),
-                               np.broadcast_to(np.sin(phi), cos.shape), atol=1e-13)
     sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
+    scale = (sq_norm(v) + sq_norm(vstar))[:, None, None]
+    vb = np.broadcast_to(v[:, None, None], sigma.shape).reshape(-1, 3)
+    vsb = np.broadcast_to(vstar[:, None, None], sigma.shape).reshape(-1, 3)
     for model in models.values():
-        vp, vps, _ = post_collision_grid(v, vstar, model, quad)
-        assert vp.shape == vps.shape == (5, 8, 6, 3)
-        for m, i, j in zip(rng.integers(0, 5, 12), rng.integers(0, 8, 12),
-                           rng.integers(0, 6, 12)):
-            ref_vp, ref_vps = post_collision_sigma(v[m], vstar[m], sigma[m, i, j],
-                                                   model)
-            np.testing.assert_allclose(vp[m, i, j], ref_vp, rtol=0, atol=1e-13)
-            np.testing.assert_allclose(vps[m, i, j], ref_vps, rtol=0, atol=1e-13)
-        one_vp, one_vps, _ = post_collision_grid(v[1], vstar[1], model, quad)
-        np.testing.assert_array_equal(one_vp, vp[1])
-        np.testing.assert_array_equal(one_vps, vps[1])
+        xp, xps, w = post_collision_grid(v, vstar, model, quad)
+        assert xp.shape == xps.shape == (5, 8, 6)
+        np.testing.assert_array_equal(w, 0.5 * quad.weights)
+        ref_vp, ref_vps = post_collision_sigma(vb, vsb, sigma.reshape(-1, 3), model)
+        assert np.all(np.abs(xp - sq_norm(ref_vp).reshape(xp.shape))
+                      <= 1e-13 * scale)
+        assert np.all(np.abs(xps - sq_norm(ref_vps).reshape(xps.shape))
+                      <= 1e-13 * scale)
+        one_xp, one_xps, _ = post_collision_grid(v[1], vstar[1], model, quad)
+        np.testing.assert_array_equal(one_xp, xp[1])
+        np.testing.assert_array_equal(one_xps, xps[1])
     vstar[2] = v[2]
     with pytest.raises(InputError):
         post_collision_grid(v, vstar, elastic(), quad)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_gain_average_frame_independent(models, rng, p):
+    """For psi(x) = x and x^2 the azimuthal trapezoid rule is exact with
+    n_phi >= 3, so gain_average equals a brute-force mean of
+    post_collision_sigma over a sigma grid in a random frame about u, with
+    a random azimuth origin."""
+    quad = AngularQuadrature(n_s=12, n_phi=5)
+    v, vstar = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    u = v - vstar
+    uhat = u / np.linalg.norm(u, axis=1, keepdims=True)
+    e1 = np.cross(uhat, random_unit(rng, 6))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(uhat, e1)
+    sigma = sphere_grid(uhat, e1, e2, quad, rng.uniform(0.0, 2.0 * np.pi))
+    sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
+    vb = np.broadcast_to(v[:, None, None], sigma.shape).reshape(-1, 3)
+    vsb = np.broadcast_to(vstar[:, None, None], sigma.shape).reshape(-1, 3)
+    w = 0.5 * quad.weights
+    for model in models.values():
+        vp, vps = post_collision_sigma(vb, vsb, sigma.reshape(-1, 3), model)
+        vals = (sq_norm(vp) ** p + sq_norm(vps) ** p).reshape(sigma.shape[:3])
+        brute = np.einsum("i,mij->m", w, vals) / quad.n_phi
+        got = gain_average(lambda x: x ** p, v, vstar, model, quad)
+        np.testing.assert_allclose(got, brute, rtol=1e-12, atol=0.0)
 
 
 def test_angular_average_batch_matches_per_pair(models, rng):
     """A batch gives each pair's average, with psi's trailing axis kept."""
     v, vstar = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
 
-    def psi(w):
-        sq = np.einsum("...k,...k->...", w, w)
-        return np.stack([sq, sq * sq], axis=-1)
+    def psi(x):
+        return np.stack([x, x * x], axis=-1)
 
     quad = AngularQuadrature(n_s=16, n_phi=8)
     for model in models.values():
