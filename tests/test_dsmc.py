@@ -39,10 +39,10 @@ def test_config_validation():
         EngineConfig(n=10, dt=0.01, mu=0.1, tol=0.0)
     # A step count or diagnostic pair count below 1 would give a NaN
     # temperature or estimate, or a bare numpy error.
-    for bad in ({"max_steps": 0}, {"max_steps": -3}, {"diss_pairs": 0},
-                {"diss_pairs": -5}):
-        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be at least 1"):
-            EngineConfig(n=10, dt=0.01, mu=0.1, **bad)
+    for key, value in (("max_steps", 0), ("max_steps", -3), ("diss_pairs", 0),
+                       ("diss_pairs", -5)):
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+            EngineConfig(n=10, dt=0.01, mu=0.1, **{key: value})
     # The majorant factor is a fixed constant, not a setting.
     text = ("engine.N = 10\nengine.dt = 0.01\nengine.mu = 0.1\n"
             "restitution.kind = constant\nrestitution.e0 = 0.5\n")
