@@ -51,6 +51,16 @@ def write_csv(path, columns, rows, manifest: str) -> None:
         writer.writerows(rows)
 
 
+def _load_setup(path):
+    """(config values, RunSetup) of a config file; exit 1 on a bad config."""
+    try:
+        values = load_config(path)
+        return values, build_setup(values)
+    except InputError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(1)
+
+
 @click.group()
 def main() -> None:
     """Particle-method simulator for thermally driven granular gases."""
@@ -62,23 +72,18 @@ def main() -> None:
               help="prefix for the time-series/report/snapshot outputs")
 def simulate(config_path, out_prefix):
     """Run one configuration to steadiness and write CSV outputs."""
-    try:
-        values = load_config(config_path)
-        setup = build_setup(values)
-    except InputError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+    values, setup = _load_setup(config_path)
     ens, report = run_to_steady(setup.engine, setup.model, setup.init)
     manifest = _manifest_line(values)
     write_csv(f"{out_prefix}_series.csv", SERIES_COLUMNS, report.series, manifest)
     final_cols = ("temperature", "m1", "m3_2", "m2", "m3", "diss_estimate",
-                  "six_mu", "tail_A", "tail_value", "max_share", "accept_ratio",
+                  "six_mu", "tail_A", "tail_value", "max_share", "collision_prob",
                   "steps", "converged")
     write_csv(f"{out_prefix}_report.csv", final_cols, [(
         report.temperature, report.moments[1.0], report.moments[1.5],
         report.moments[2.0], report.moments[3.0], report.diss_estimate,
         6.0 * setup.engine.mu, report.tail_a, report.tail_value,
-        report.tail_max_share, report.accept_ratio, report.steps,
+        report.tail_max_share, report.collision_prob, report.steps,
         int(report.converged))], manifest)
     save_snapshot(f"{out_prefix}_snapshot.bin", ens)
     sys.exit(0 if report.converged else 2)
@@ -90,12 +95,7 @@ def simulate(config_path, out_prefix):
 @click.option("--out", default="sweep.csv", show_default=True)
 def sweep_lambda(config_path, lambdas, out):
     """Run the rescaled problem for each lambda and tabulate steady reports."""
-    try:
-        values = load_config(config_path)
-        setup = build_setup(values)
-    except InputError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+    values, setup = _load_setup(config_path)
     bad = [lam for lam in lambdas if not 0.0 < lam <= 1.0]
     if bad:
         click.echo(f"lambda {bad[0]} outside (0, 1]", err=True)
@@ -105,11 +105,10 @@ def sweep_lambda(config_path, lambdas, out):
     spec = DissipationSpec(model)
     jobs = []
     for lam in lambdas:
-        model_l = rescale(model, lam) if lam < 1.0 else model
         cfg = dataclasses.replace(setup.engine, mu=lam ** model.gamma)
         init = dataclasses.replace(
             setup.init, t0=steady_temperature_ansatz(spec, lam))
-        jobs.append((cfg, model_l, init))
+        jobs.append((cfg, rescale(model, lam), init))
     rows = []
     for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, run_many(jobs)):
         dist = maxwellian_distance(ens, theta)
@@ -172,7 +171,7 @@ def povzner_check(p_exponents, model_name, pairs, seed, out):
         worst = float(np.min(norms))
         passed = worst >= -1e-9
         if not passed:
-            refit = povzner_mod.refit_k(p, model, pairs, rng)
+            refit = povzner_mod.PovznerCase(p).refit_k(norms)
             click.echo(f"printed constant failed at p={p}; largest passing "
                        f"k={refit:.6g}", err=True)
             ok = ok and refit > 0.0
@@ -204,12 +203,7 @@ def theta(a, gamma):
 @click.option("--seeds", default=4, show_default=True)
 def uniqueness_probe(config_path, inits, seeds):
     """Compare steady temperatures across distinct initial conditions."""
-    try:
-        values = load_config(config_path)
-        setup = build_setup(values)
-    except InputError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+    values, setup = _load_setup(config_path)
     if len(inits) < 2:
         click.echo("need at least two initial conditions", err=True)
         sys.exit(1)

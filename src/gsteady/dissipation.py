@@ -21,24 +21,22 @@ from .errors import InputError
 from .kinematics import gauss_laguerre, gauss_legendre
 from .restitution import RestitutionModel, eval_e
 
-# Rows of psi_e's argument evaluated together, so that its (rows x n_z)
+# Rows of psi_e's argument evaluated together, so that its (rows x 64 nodes)
 # quadrature temporaries stay a few MB whatever the input size.
 PSI_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class DissipationSpec:
-    """Quadrature setup for Psi_e built on a restitution model."""
+    """Quadrature setup for Psi_e built on a restitution model: 64
+    Gauss-Legendre nodes on z in [0, 1]."""
 
     model: RestitutionModel
-    n_z: int = 64
     _z: np.ndarray = field(init=False, repr=False)
     _wz: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_z < 8:
-            raise InputError("Psi_e quadrature needs at least 8 nodes")
-        z, w = gauss_legendre(self.n_z)
+        z, w = gauss_legendre(64)
         object.__setattr__(self, "_z", 0.5 * (z + 1.0))
         object.__setattr__(self, "_wz", 0.5 * w)
 
@@ -135,24 +133,25 @@ def theta_limit(a: float, gamma: float) -> ThetaResult:
     return ThetaResult(theta=float(theta), theta_paper_formula=float(theta_paper))
 
 
-def gaussian_pair_average(zeta, theta: float, n_nodes: int = 100) -> float:
+def gaussian_pair_average(zeta, theta: float) -> float:
     """E[zeta(|V - V*|^2)] for independent Gaussians of temperature theta.
 
-    Gauss-Laguerre quadrature over the chi-square law of |V - V*|^2 / (4 theta).
+    100-node Gauss-Laguerre quadrature over the chi-square law of
+    |V - V*|^2 / (4 theta).
     """
-    x, w = gauss_laguerre(n_nodes)
+    x, w = gauss_laguerre(100)
     dens = 2.0 / np.sqrt(np.pi) * np.sqrt(x)
     return float(np.sum(w * dens * zeta(4.0 * theta * x)))
 
 
-def steady_temperature_ansatz(spec: DissipationSpec, lam: float,
-                              bracket: tuple[float, float] = (1e-3, 1e3)) -> float:
+def steady_temperature_ansatz(spec: DissipationSpec, lam: float) -> float:
     """Finite-lambda steady temperature under a Gaussian closure.
 
     Solves 6 = E_T[zeta_lambda(|V - V*|^2)] for the temperature T of a
-    Maxwellian ansatz; tends to the theta_limit oracle as lam -> 0.
+    Maxwellian ansatz, bracketed in [1e-3, 1e3]; tends to the theta_limit
+    oracle as lam -> 0.
     """
     def balance(t):
         return gaussian_pair_average(lambda r2: zeta_lambda(spec, lam, r2), t) - 6.0
 
-    return float(brentq(balance, *bracket, xtol=1e-12, rtol=1e-12))
+    return float(brentq(balance, 1e-3, 1e3, xtol=1e-12, rtol=1e-12))

@@ -35,15 +35,12 @@ _STREAM_DIAG = 3
 _UMAX_FACTOR = 2.0
 
 SNAPSHOT_MAGIC = "GSTEADY2"
-# Ensemble fields each snapshot format carries besides N, as (ints, floats).
-# GSTEADY1 has only the clock; GSTEADY2 adds the step count and the ledger, so
-# a loaded ensemble resumes the Philox streams where it stopped.
-_SNAPSHOT_FIELDS = {
-    "GSTEADY1": ((), ("t",)),
-    "GSTEADY2": (("step_count", "n_candidates", "n_collisions"),
-                 ("t", "bath_energy", "collision_loss", "recenter_energy",
-                  "collision_prob_ema")),
-}
+# Ensemble fields a snapshot carries besides N, as (ints, floats): the clock,
+# the step count and the ledger, so a loaded ensemble resumes the Philox
+# streams where it stopped.
+_SNAPSHOT_INTS = ("step_count", "n_collisions")
+_SNAPSHOT_FLOATS = ("t", "bath_energy", "collision_loss", "recenter_energy",
+                    "collision_prob_ema")
 
 
 def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
@@ -87,7 +84,6 @@ class Ensemble:
     velocities: np.ndarray
     t: float = 0.0
     step_count: int = 0
-    n_candidates: int = 0
     n_collisions: int = 0
     bath_energy: float = 0.0
     collision_loss: float = 0.0
@@ -102,10 +98,12 @@ class Ensemble:
         v = self.velocities
         return float(np.einsum("ij,ij->", v, v))
 
-    def accept_ratio(self) -> float:
-        if self.n_candidates == 0:
-            return 1.0
-        return self.n_collisions / self.n_candidates
+    def collision_prob(self) -> float:
+        """Realised per-particle collision probability per step (0 before
+        the first step): each collision moves two particles."""
+        if self.step_count == 0:
+            return 0.0
+        return 2.0 * self.n_collisions / (self.n * self.step_count)
 
 
 @dataclass
@@ -126,12 +124,12 @@ class SteadyReport:
     tail_max_share: float
     steps: int
     converged: bool
-    accept_ratio: float
+    collision_prob: float
     slope: float
     series: list = field(default_factory=list, repr=False)
 
 SERIES_COLUMNS = ("step", "t", "m1", "m3_2", "m2", "m3",
-                  "diss_estimate", "accept_ratio")
+                  "diss_estimate", "collision_prob")
 
 
 def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
@@ -212,7 +210,6 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
                 sigma, umax, model)
             if violated:
                 raise MajorantViolation("pairwise speed exceeded U_max")
-            ens.n_candidates += m
             ens.n_collisions += accepted
             ens.collision_loss += loss
 
@@ -260,7 +257,7 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
                dissipation_functional(
                    ens.velocities, lambda r2: psi_e(spec, r2), config.diss_pairs,
                    _stream(config.seed, ens.step_count, _STREAM_DIAG)),
-               ens.accept_ratio())
+               ens.collision_prob())
         series.append(row)
         if len(series) >= config.window:
             tail = series[-config.window:]
@@ -285,7 +282,7 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
         tail_max_share=tail.max_share,
         steps=ens.step_count,
         converged=converged,
-        accept_ratio=ens.accept_ratio(),
+        collision_prob=ens.collision_prob(),
         slope=slope,
         series=series,
     )
@@ -325,10 +322,10 @@ def run_many(jobs) -> list:
 def save_snapshot(path, ens: Ensemble) -> None:
     """Header line (size, clock and ledger) plus raw little-endian float64
     velocities."""
-    ints, floats = _SNAPSHOT_FIELDS[SNAPSHOT_MAGIC]
     fields = [f"N={ens.n}"]
-    fields += [f"{name}={int(getattr(ens, name))}" for name in ints]
-    fields += [f"{name}={float(getattr(ens, name))!r}" for name in floats]
+    fields += [f"{name}={int(getattr(ens, name))}" for name in _SNAPSHOT_INTS]
+    fields += [f"{name}={float(getattr(ens, name))!r}"
+               for name in _SNAPSHOT_FLOATS]
     header = f"{SNAPSHOT_MAGIC} {' '.join(fields)}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -336,18 +333,21 @@ def save_snapshot(path, ens: Ensemble) -> None:
 
 
 def load_snapshot(path) -> Ensemble:
-    """Read a GSTEADY2 snapshot, or a GSTEADY1 one (clock only, empty
-    ledger)."""
+    """Read a GSTEADY2 snapshot; header fields it does not use are ignored.
+
+    Any other header is rejected, the older format's included: it carries no
+    step count, so a run resumed from it would replay the early Philox
+    streams."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
-        if not header or header[0] not in _SNAPSHOT_FIELDS:
-            raise InputError("not a gsteady snapshot")
-        ints, floats = _SNAPSHOT_FIELDS[header[0]]
+        if not header or header[0] != SNAPSHOT_MAGIC:
+            raise InputError(f"not a {SNAPSHOT_MAGIC} snapshot")
         try:
             fields = dict(item.split("=", 1) for item in header[1:])
             n = int(fields["N"])
-            state = {name: int(fields[name]) for name in ints}
-            state.update((name, float(fields[name])) for name in floats)
+            state = {name: int(fields[name]) for name in _SNAPSHOT_INTS}
+            state.update((name, float(fields[name]))
+                         for name in _SNAPSHOT_FLOATS)
         except (KeyError, ValueError):
             raise InputError("malformed snapshot header") from None
         body = fh.read()

@@ -60,10 +60,10 @@ def tail_integral(ensemble, a: float) -> TailReport:
                       max_share=float(np.max(weights)) / total)
 
 
-def default_tail_rate(ensemble, base: float = 0.1) -> float:
-    """Tail rate scaled so a * RMS^{3/2} = base, avoiding sample domination."""
+def default_tail_rate(ensemble) -> float:
+    """Tail rate scaled so a * RMS^{3/2} = 0.1, avoiding sample domination."""
     m1 = float(np.mean(_sq_speeds(ensemble)))
-    return base * m1 ** -0.75 if m1 > 0 else 0.0
+    return 0.1 * m1 ** -0.75 if m1 > 0 else 0.0
 
 
 def maxwell_moment(theta: float, p: float) -> float:
@@ -71,8 +71,8 @@ def maxwell_moment(theta: float, p: float) -> float:
     return (2.0 * theta) ** p * gamma_fn(p + 1.5) / gamma_fn(1.5)
 
 
-def maxwellian_distance(ensemble, theta: float, p_set=DEFAULT_P_SET,
-                        n_bins: int = 64) -> MaxwellianDistance:
+def maxwellian_distance(ensemble, theta: float,
+                        p_set=DEFAULT_P_SET) -> MaxwellianDistance:
     """Two surrogate distances to the temperature-theta Maxwellian.
 
     d_moment sums relative moment deviations over p_set; d_hist is the L1
@@ -85,7 +85,7 @@ def maxwellian_distance(ensemble, theta: float, p_set=DEFAULT_P_SET,
     d_m = sum(abs(emp[float(p)] - maxwell_moment(theta, p))
               / maxwell_moment(theta, p) for p in p_set)
     sq = _sq_speeds(ensemble)
-    edges = np.linspace(0.0, 5.0 * np.sqrt(theta), n_bins + 1)
+    edges = np.linspace(0.0, 5.0 * np.sqrt(theta), 65)
     counts, _ = np.histogram(np.sqrt(sq), bins=edges)
     p_emp = np.append(counts / len(sq), 1.0 - counts.sum() / len(sq))
     # Maxwell speed law CDF: the regularized lower incomplete gamma P(3/2, x^2/2)

@@ -20,7 +20,7 @@ from .kinematics import (AngularQuadrature, angular_average, gain_average,
                          gauss_legendre, sq_norm)
 from .restitution import RestitutionModel, scalar_or_array
 
-# Pairs per vectorized batch in battery and refit_k.
+# Pairs per vectorized batch in battery.
 PAIR_CHUNK = 512
 
 
@@ -52,6 +52,18 @@ class PovznerCase:
         return (self.a_const * p * (x * y ** (p - 1.0) + y * x ** (p - 1.0)),
                 p * (p - 1.0) * (x + y) ** p)
 
+    def refit_k(self, norms) -> float:
+        """Largest k for which the bound holds on a battery's pairs, from
+        its normalized margins (battery's second output).
+
+        Fallback diagnostic: if the printed constant ever fails the sign
+        check, the qualitative content (existence of a positive k) is still
+        asserted and the refit value reported alongside.  A margin is
+        head - k_const curv - kernel with curv = p (p-1) E^p, so a pair's
+        largest k is k_const + margin / curv = k_const + norm / (p (p-1)).
+        """
+        return self.k_const + float(np.min(norms)) / (self.p * (self.p - 1.0))
+
 
 def angular_kernel(v, vstar, p: float, model: RestitutionModel,
                    quad: AngularQuadrature | None = None):
@@ -70,13 +82,13 @@ def gain_term(v, vstar, p: float, model: RestitutionModel,
     return scalar_or_array(gain_average(lambda x: x ** p, v, vstar, model, quad))
 
 
-def gain_upper_bound(v, vstar, p: float, n_nodes: int = 128):
+def gain_upper_bound(v, vstar, p: float):
     """The restitution-independent bound on the gain term:
     int_0^1 [Psi(E (3+s)/4) + Psi(E (1-s)/4)] ds with E = |v|^2 + |v*|^2.
 
     One pair gives a float, a batch (m, 3) shape (m,)."""
     e_tot = np.asarray(sq_norm(v) + sq_norm(vstar), dtype=float)[..., None]
-    s, w = gauss_legendre(n_nodes)
+    s, w = gauss_legendre(128)
     s = 0.5 * (s + 1.0)
     w = 0.5 * w
     vals = (e_tot * (3.0 + s) / 4.0) ** p + (e_tot * (1.0 - s) / 4.0) ** p
@@ -98,19 +110,19 @@ def check_inequality(v, vstar, p: float, model: RestitutionModel,
 
 def battery(p: float, model: RestitutionModel, n_pairs: int,
             rng: np.random.Generator,
-            quad: AngularQuadrature | None = None, chunk: int = PAIR_CHUNK):
+            quad: AngularQuadrature | None = None):
     """Margins of the bound on Gaussian random pairs, normalized by E^p.
 
     Returns (margins, normalized_margins); a failing constant would show
     as a negative normalized margin.  Pairs go through check_inequality, so
-    p >= 2, in batches of `chunk`.
+    p >= 2, in batches of PAIR_CHUNK.
     """
     if quad is None:
         quad = AngularQuadrature(n_s=32, n_phi=16)
     margins = np.empty(n_pairs)
     norms = np.empty(n_pairs)
-    for start in range(0, n_pairs, chunk):
-        m = min(chunk, n_pairs - start)
+    for start in range(0, n_pairs, PAIR_CHUNK):
+        m = min(PAIR_CHUNK, n_pairs - start)
         v = rng.normal(size=(m, 3))
         vstar = rng.normal(size=(m, 3))
         marg = check_inequality(v, vstar, p, model, quad)
@@ -118,25 +130,3 @@ def battery(p: float, model: RestitutionModel, n_pairs: int,
         norms[start:start + m] = marg / (sq_norm(v) + sq_norm(vstar)) ** p
     return margins, norms
 
-
-def refit_k(p: float, model: RestitutionModel, n_pairs: int,
-            rng: np.random.Generator,
-            quad: AngularQuadrature | None = None) -> float:
-    """Largest k for which the bound holds on the sampled battery.
-
-    Fallback diagnostic: if the printed constant ever fails the sign
-    check, the qualitative content (existence of a positive k) is still
-    asserted and the refit value reported alongside.  Pair k is
-    rng.normal(size=(n_pairs, 2, 3))[k], drawn in batches of PAIR_CHUNK.
-    """
-    if quad is None:
-        quad = AngularQuadrature(n_s=32, n_phi=16)
-    case = PovznerCase(p)
-    best = np.inf
-    for start in range(0, n_pairs, PAIR_CHUNK):
-        pairs = rng.normal(size=(min(PAIR_CHUNK, n_pairs - start), 2, 3))
-        v, vstar = pairs[:, 0], pairs[:, 1]
-        head, curv = case.bound_terms(sq_norm(v), sq_norm(vstar))
-        ratio = (head - angular_kernel(v, vstar, p, model, quad)) / curv
-        best = min(best, float(np.min(ratio)))
-    return best

@@ -92,7 +92,7 @@ def scaling_equivalence_test(config_base: EngineConfig, model: RestitutionModel,
     gamma = model.gamma
     mu_a = lam ** (3.0 + gamma)
     mu_b = lam ** gamma
-    model_b = rescale(model, lam) if lam < 1.0 else model
+    model_b = rescale(model, lam)
     jobs = []
     for seed in seeds:
         # Physical side: speeds are smaller by lam, so stretch dt to keep

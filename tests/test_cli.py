@@ -199,7 +199,7 @@ def test_simulate_elastic_reaches_t0(runner, tmp_path):
     assert all(cell not in ("nan", "inf") for cell in row)
     series = (tmp_path / "out_series.csv").read_text().splitlines()
     assert series[0] == report[0]
-    assert series[1] == "step,t,m1,m3_2,m2,m3,diss_estimate,accept_ratio"
+    assert series[1] == "step,t,m1,m3_2,m2,m3,diss_estimate,collision_prob"
     assert (tmp_path / "out_snapshot.bin").exists()
 
 

@@ -50,8 +50,6 @@ def test_psi_small_r_asymptotic():
 def test_psi_negative_rejected():
     with pytest.raises(InputError):
         psi_e(DissipationSpec(viscoelastic(1.0)), -0.1)
-    with pytest.raises(InputError):
-        DissipationSpec(viscoelastic(1.0), n_z=4)
 
 
 def test_psi_convex_nondecreasing():
@@ -221,7 +219,7 @@ def test_psi_e_blocks_match_whole_array():
 
 def test_psi_e_memory_bounded():
     """One call on 100 000 pairs (the diagnostic's default sample) peaks
-    under 32 MB of traced memory; its (pairs x n_z) temporaries held at once
+    under 32 MB of traced memory; its (pairs x 64 nodes) temporaries held at once
     would take about 200 MB."""
     spec = DissipationSpec(power_law(1.0, 0.2))
     r = np.random.default_rng(5).exponential(2.0, size=100_000)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gsteady import dsmc
 from gsteady.config import build_setup, parse_config_text
+from gsteady.dissipation import dissipation_functional
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
                           load_snapshot, run_many, run_to_steady,
                           save_snapshot, step)
@@ -147,9 +148,9 @@ def test_majorant_violation_raises(monkeypatch):
 
 
 def _ledger_state(ens):
-    return (ens.velocities.copy(), ens.t, ens.step_count, ens.n_candidates,
-            ens.n_collisions, ens.bath_energy, ens.collision_loss,
-            ens.recenter_energy, ens.collision_prob_ema)
+    return (ens.velocities.copy(), ens.t, ens.step_count, ens.n_collisions,
+            ens.bath_energy, ens.collision_loss, ens.recenter_energy,
+            ens.collision_prob_ema)
 
 
 def _assert_ledger_exact(ens, e0):
@@ -238,8 +239,26 @@ def test_steady_report_fields():
     assert set(rep.moments) == {1.0, 1.5, 2.0, 3.0}
     assert rep.diss_estimate > 0.0
     assert rep.tail_value > 0.0
-    assert 0.0 < rep.accept_ratio <= 1.0
+    assert rep.collision_prob == ens.collision_prob() > 0.0
+    assert rep.series[-1][-1] == rep.collision_prob
     assert len(rep.series) >= cfg.window
+
+
+def test_collision_prob_matches_pair_rate():
+    """Each unordered pair collides at rate |u|, so a particle collides with
+    probability (N-1)/N dt E|u| per step.  Elastic and without a bath the
+    ensemble stays at equilibrium and no splitting bias enters."""
+    cfg = small_config(n=2000, dt=0.04, mu=0.0, seed=3, max_steps=300,
+                       window=30, sample_every=10, diss_pairs=1000)
+    ens, rep = run_to_steady(cfg, elastic(),
+                             InitialCondition("maxwellian", t0=1.0))
+    assert rep.steps == 300
+    # (N-1)/N E|u| over sampled pairs of the final ensemble.
+    mean_speed = dissipation_functional(ens.velocities, np.sqrt, 200_000,
+                                        np.random.default_rng(1))
+    # n_collisions is a Poisson count.
+    se = 2.0 * math.sqrt(ens.n_collisions) / (cfg.n * rep.steps)
+    assert abs(rep.collision_prob - cfg.dt * mean_speed) < 3.0 * se
 
 
 def test_snapshot_roundtrip(tmp_path):
@@ -257,15 +276,32 @@ def test_snapshot_roundtrip(tmp_path):
     assert _ledger_state(back)[1:] == _ledger_state(ens)[1:]
 
 
-def test_snapshot_reads_gsteady1(tmp_path):
-    """The older header carries only N and t; the ledger starts empty."""
+def test_snapshot_rejects_gsteady1(tmp_path):
+    """The older header has no step count, so resuming from it would replay
+    the early Philox streams."""
     vel = np.arange(12, dtype=float).reshape(4, 3)
     path = tmp_path / "old.bin"
     path.write_bytes(b"GSTEADY1 N=4 t=0.25\n" + vel.astype("<f8").tobytes())
+    with pytest.raises(InputError, match="not a GSTEADY2 snapshot"):
+        load_snapshot(path)
+
+
+def test_snapshot_ignores_extra_header_fields(tmp_path):
+    """A GSTEADY2 header that still carries the retired n_candidates field
+    loads bit for bit."""
+    cfg = small_config()
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    for _ in range(5):
+        step(ens, cfg, constant(0.5))
+    path = tmp_path / "snap.bin"
+    save_snapshot(path, ens)
+    header, body = path.read_bytes().split(b"\n", 1)
+    old = header.replace(b" n_collisions=", b" n_candidates=12345 n_collisions=")
+    assert old != header
+    path.write_bytes(old + b"\n" + body)
     back = load_snapshot(path)
-    np.testing.assert_array_equal(back.velocities, vel)
-    assert back.t == 0.25
-    assert back.step_count == 0 and back.collision_loss == 0.0
+    np.testing.assert_array_equal(back.velocities, ens.velocities)
+    assert _ledger_state(back)[1:] == _ledger_state(ens)[1:]
 
 
 def test_snapshot_resume_bit_identical(tmp_path):

@@ -88,22 +88,26 @@ def test_batch_matches_per_pair(models, rng):
 
 
 def test_refit_k_matches_pair_loop():
-    """refit_k equals min over its pairs of (head - kernel) / (p (p-1) E^p),
-    each pair drawn as two 3-vectors in turn, across several chunks."""
-    p = 3.0
+    """refit_k of a battery's margins equals min over its pairs of
+    (head - kernel) / (p (p-1) E^p), the pairs drawn as battery draws them
+    (a block of v, then a block of v*, per chunk), across several chunks."""
     n = povzner.PAIR_CHUNK + 7
     model = viscoelastic(1.0)
-    k = povzner.refit_k(p, model, n, np.random.default_rng(11), QUAD)
-    draw = np.random.default_rng(11)
-    a_const = 2.0 ** (p - 1.0)
-    ref = np.inf
-    for _ in range(n):
-        v, vstar = draw.normal(size=3), draw.normal(size=3)
-        x, y = float(v @ v), float(vstar @ vstar)
-        head = a_const * p * (x * y ** (p - 1.0) + y * x ** (p - 1.0))
-        kernel = povzner.angular_kernel(v, vstar, p, model, QUAD)
-        ref = min(ref, (head - kernel) / (p * (p - 1.0) * (x + y) ** p))
-    assert k == pytest.approx(ref, rel=1e-13, abs=0.0)
+    for p in (2.0, 3.0):
+        _, norms = povzner.battery(p, model, n, np.random.default_rng(11), QUAD)
+        k = povzner.PovznerCase(p).refit_k(norms)
+        draw = np.random.default_rng(11)
+        a_const = 2.0 ** (p - 1.0)
+        ref = np.inf
+        for start in range(0, n, povzner.PAIR_CHUNK):
+            m = min(povzner.PAIR_CHUNK, n - start)
+            vs, vstars = draw.normal(size=(m, 3)), draw.normal(size=(m, 3))
+            for v, vstar in zip(vs, vstars):
+                x, y = float(v @ v), float(vstar @ vstar)
+                head = a_const * p * (x * y ** (p - 1.0) + y * x ** (p - 1.0))
+                kernel = povzner.angular_kernel(v, vstar, p, model, QUAD)
+                ref = min(ref, (head - kernel) / (p * (p - 1.0) * (x + y) ** p))
+        assert k == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_gain_upper_bound(models, rng):
@@ -118,7 +122,8 @@ def test_gain_upper_bound(models, rng):
 
 
 def test_refit_k_positive(rng):
-    k = povzner.refit_k(2.0, viscoelastic(1.0), 50, rng, QUAD)
+    _, norms = povzner.battery(2.0, viscoelastic(1.0), 50, rng, QUAD)
+    k = povzner.PovznerCase(2.0).refit_k(norms)
     assert k > 0.0
     # The printed constant must not exceed the refit headroom.
     assert povzner.PovznerCase(2.0).k_const <= k
