@@ -150,8 +150,7 @@ def verify(suite, out):
 @click.option("--p", "p_exponents", multiple=True, type=float, default=(2.0, 3.0),
               show_default=True)
 @click.option("--model", "model_name", default="viscoelastic", show_default=True,
-              type=click.Choice(["constant_0.3", "constant_0.8", "power_law",
-                                 "viscoelastic"]))
+              type=click.Choice(sorted(verify_mod._models())))
 @click.option("--pairs", default=1000, show_default=True,
               type=click.IntRange(min=1))
 @click.option("--seed", default=0, show_default=True)
@@ -210,9 +209,13 @@ def uniqueness_probe(config_path, inits, seeds):
     if seeds < 2:
         click.echo("need at least two seeds per initial condition", err=True)
         sys.exit(1)
-    jobs = [(dataclasses.replace(setup.engine, seed=setup.engine.seed + k),
-             setup.model, dataclasses.replace(setup.init, kind=kind))
-            for kind in inits for k in range(seeds)]
+    try:
+        jobs = [(dataclasses.replace(setup.engine, seed=setup.engine.seed + k),
+                 setup.model, dataclasses.replace(setup.init, kind=kind))
+                for kind in inits for k in range(seeds)]
+    except InputError as exc:  # a derived seed outside [0, 2^63)
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(1)
     results = {}
     runs = zip(jobs, run_many(jobs))
     for kind in inits:

@@ -126,8 +126,9 @@ def theta_limit(a: float, gamma: float) -> ThetaResult:
     if a <= 0.0 or gamma <= 0.0:
         raise InputError("theta_limit requires a > 0 and gamma > 0")
     q = 3.0 + gamma
-    theta = 0.25 * (6.0 * (4.0 + gamma) * gamma_fn(1.5)
-                    / (a * gamma_fn(0.5 * (6.0 + gamma)))) ** (2.0 / q)
+    # E|V - V*|^q scales as theta^{q/2}: solve from its value at 4 theta = 1.
+    theta = 0.25 * (6.0 * (4.0 + gamma)
+                    / (a * maxwell_relative_speed_moment(0.25, q))) ** (2.0 / q)
     m_q = 4.0 / np.sqrt(np.pi) * 2.0 ** (0.5 * (q + 1.0)) * gamma_fn(0.5 * (q + 3.0))
     theta_paper = (6.0 * (4.0 + gamma) / (a * 2.0 ** 1.5 * m_q)) ** (2.0 / q)
     return ThetaResult(theta=float(theta), theta_paper_formula=float(theta_paper))

@@ -75,6 +75,10 @@ class EngineConfig:
             raise ConfigError("max_steps must be at least 1")
         if self.diss_pairs < 1:
             raise ConfigError("diss_pairs must be at least 1")
+        # Philox keys at or above 2^63 pass through float64 in numpy, so two
+        # such seeds can share a stream (2^63 and 2^63 + 1 do).
+        if not 0 <= self.seed < 2 ** 63:
+            raise ConfigError("seed must lie in [0, 2^63)")
 
 
 @dataclass
@@ -253,7 +257,7 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
         step(ens, config, model)
         if ens.step_count % config.sample_every != 0:
             continue
-        row = (ens.step_count, ens.t, *moments(ens).moments.values(),
+        row = (ens.step_count, ens.t, *moments(ens).values(),
                dissipation_functional(
                    ens.velocities, lambda r2: psi_e(spec, r2), config.diss_pairs,
                    _stream(config.seed, ens.step_count, _STREAM_DIAG)),

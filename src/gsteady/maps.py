@@ -84,15 +84,15 @@ def phi_sigma(u, sigma):
     return 0.5 * (u + np.linalg.norm(u) * sigma)
 
 
-def varphi_sigma(w, sigma, tol: float = 1e-12):
-    """Inverse of phi_sigma on the forward cone w-hat . sigma > 0."""
+def varphi_sigma(w, sigma):
+    """Inverse of phi_sigma on the forward cone w-hat . sigma > 1e-12."""
     w = np.asarray(w, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     wn = np.linalg.norm(w)
     if wn == 0.0:
         return np.zeros(3)
     cos = float(w @ sigma) / wn
-    if cos <= tol:
+    if cos <= 1e-12:
         raise InputError("varphi_sigma requires w-hat . sigma > 0")
     return 2.0 * w - (wn / cos) * sigma
 
@@ -112,10 +112,11 @@ def pi_inverse(model: RestitutionModel, z):
     return ratio[..., None] * z
 
 
-def numerical_jacobian(func, x, h: float = 1e-6) -> float:
-    """Determinant of the central-difference Jacobian of a 3-vector map."""
+def numerical_jacobian(func, x) -> float:
+    """Determinant of the central-difference Jacobian of a 3-vector map,
+    with step 1e-6 max(1, |x|)."""
     x = np.asarray(x, dtype=float)
-    step = h * max(1.0, float(np.linalg.norm(x)))
+    step = 1e-6 * max(1.0, float(np.linalg.norm(x)))
     jac = np.empty((3, 3))
     for k in range(3):
         dx = np.zeros(3)

@@ -23,12 +23,6 @@ def _sq_speeds(ensemble) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MomentReport:
-    moments: dict
-    temperature: float
-
-
-@dataclass(frozen=True)
 class TailReport:
     a: float
     value: float
@@ -41,12 +35,10 @@ class MaxwellianDistance:
     d_hist: float
 
 
-def moments(ensemble, p_set=DEFAULT_P_SET) -> MomentReport:
-    """Empirical moments m_p = (1/N) sum |v_i|^{2p}; temperature = m_1 / 3."""
+def moments(ensemble, p_set=DEFAULT_P_SET) -> dict[float, float]:
+    """Empirical moments {p: m_p} with m_p = (1/N) sum |v_i|^{2p}."""
     sq = _sq_speeds(ensemble)
-    mom = {float(p): float(np.mean(sq ** p)) for p in p_set}
-    m1 = mom.get(1.0, float(np.mean(sq)))
-    return MomentReport(moments=mom, temperature=m1 / 3.0)
+    return {float(p): float(np.mean(sq ** p)) for p in p_set}
 
 
 def tail_integral(ensemble, a: float) -> TailReport:
@@ -81,7 +73,7 @@ def maxwellian_distance(ensemble, theta: float,
     """
     if theta <= 0.0:
         raise InputError("temperature must be positive")
-    emp = moments(ensemble, p_set).moments
+    emp = moments(ensemble, p_set)
     d_m = sum(abs(emp[float(p)] - maxwell_moment(theta, p))
               / maxwell_moment(theta, p) for p in p_set)
     sq = _sq_speeds(ensemble)

@@ -22,6 +22,8 @@ from .restitution import RestitutionModel, scalar_or_array
 
 # Pairs per vectorized batch in battery.
 PAIR_CHUNK = 512
+# Sphere quadrature of battery and of the verify suite's gain-term check.
+BATTERY_QUAD = AngularQuadrature(n_s=32, n_phi=16)
 
 
 @dataclass(frozen=True)
@@ -109,23 +111,20 @@ def check_inequality(v, vstar, p: float, model: RestitutionModel,
 
 
 def battery(p: float, model: RestitutionModel, n_pairs: int,
-            rng: np.random.Generator,
-            quad: AngularQuadrature | None = None):
+            rng: np.random.Generator):
     """Margins of the bound on Gaussian random pairs, normalized by E^p.
 
     Returns (margins, normalized_margins); a failing constant would show
     as a negative normalized margin.  Pairs go through check_inequality, so
-    p >= 2, in batches of PAIR_CHUNK.
+    p >= 2, in batches of PAIR_CHUNK, on the BATTERY_QUAD sphere grid.
     """
-    if quad is None:
-        quad = AngularQuadrature(n_s=32, n_phi=16)
     margins = np.empty(n_pairs)
     norms = np.empty(n_pairs)
     for start in range(0, n_pairs, PAIR_CHUNK):
         m = min(PAIR_CHUNK, n_pairs - start)
         v = rng.normal(size=(m, 3))
         vstar = rng.normal(size=(m, 3))
-        marg = check_inequality(v, vstar, p, model, quad)
+        marg = check_inequality(v, vstar, p, model, BATTERY_QUAD)
         margins[start:start + m] = marg
         norms[start:start + m] = marg / (sq_norm(v) + sq_norm(vstar)) ** p
     return margins, norms

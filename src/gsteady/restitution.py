@@ -152,16 +152,6 @@ def rescale(model: RestitutionModel, lam: float) -> RestitutionModel:
     return dataclasses.replace(model, lambda_scale=model.lambda_scale * lam)
 
 
-def ell_gamma(model: RestitutionModel, grid) -> float:
-    """Grid supremum of (1 - e(r)) / r^gamma (finite for admissible laws)."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InputError("ell_gamma needs a non-empty grid")
-    if np.any(grid <= 0.0):
-        raise InputError("ell_gamma grid entries must be positive")
-    return float(np.max((1.0 - eval_e(model, grid)) / grid ** model.gamma))
-
-
 def implicit_residual(model: RestitutionModel, r) -> float:
     """Residual of the viscoelastic implicit equation at the returned root."""
     if model.kind != VISCOELASTIC:

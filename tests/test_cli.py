@@ -103,7 +103,7 @@ def _valid_values():
         "engine.N": st.integers(2, 10 ** 9),
         "engine.dt": floats(0.0, 1e300, exclude_min=True),
         "engine.mu": floats(0.0, 1e300),
-        "engine.seed": st.integers(0, 2 ** 64 - 1),
+        "engine.seed": st.integers(0, 2 ** 63 - 1),
         "restitution.kind": st.sampled_from(
             ["constant", "power_law", "powerlaw", "viscoelastic"]),
         "restitution.a": floats(0.0, 1e300, exclude_min=True),
@@ -184,6 +184,37 @@ def test_simulate_zero_diss_pairs_exits_1(runner, tmp_path):
     assert not (tmp_path / "x_series.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64])
+def test_seed_outside_philox_range_rejected(runner, tmp_path, seed):
+    """Seeds of 2^63 and above would share Philox streams: refused by
+    EngineConfig, by the config parser's setup and by simulate."""
+    message = "seed must lie in [0, 2^63)"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        EngineConfig(n=10, dt=0.1, mu=0.1, seed=seed)
+    text = BASE_CONFIG.replace("engine.seed = 5", f"engine.seed = {seed}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_setup(parse_config_text(text))
+    result = runner.invoke(main, ["simulate", write(tmp_path, text),
+                                  "--out-prefix", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"config error: {message}"
+
+
+def test_uniqueness_probe_derived_seed_out_of_range(runner, tmp_path,
+                                                    monkeypatch):
+    """A derived seed past 2^63 - 1 is a config error before any run."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    cfg = write(tmp_path, BASE_CONFIG.replace("engine.seed = 5",
+                                              f"engine.seed = {2 ** 63 - 1}"))
+    result = runner.invoke(main, ["uniqueness-probe", cfg, "--seeds", "2"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "config error: seed must lie in [0, 2^63)" in result.output
+    assert runs == []
+
+
 def test_simulate_elastic_reaches_t0(runner, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"
@@ -233,8 +264,11 @@ def test_verify_subcommand(runner, tmp_path):
     lines = (tmp_path / "verify.csv").read_text().splitlines()
     assert lines[0].startswith("# gsteady-verify maps")
     assert lines[1] == "property,margin,passed"
-    unknown = runner.invoke(main, ["verify", "bogus"])
-    assert unknown.exit_code == 1
+    # The suites are maps, povzner, dissipation and all; there is no fast one.
+    for args in ("verify bogus", "verify fast"):
+        unknown = runner.invoke(main, args)
+        assert unknown.exit_code == 1
+        assert "Invalid value" in unknown.output
 
 
 def test_povzner_check_subcommand(runner, tmp_path):

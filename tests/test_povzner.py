@@ -7,7 +7,7 @@ from gsteady.errors import InputError
 from gsteady.kinematics import AngularQuadrature
 from gsteady.restitution import elastic, viscoelastic
 
-QUAD = AngularQuadrature(n_s=32, n_phi=16)
+QUAD = povzner.BATTERY_QUAD
 
 
 def test_case_constants():
@@ -62,7 +62,7 @@ def test_zero_pair_margin():
 def test_margins_battery(models, rng):
     for model in models.values():
         for p in (2.0, 3.0):
-            margins, norms = povzner.battery(p, model, 400, rng, QUAD)
+            margins, norms = povzner.battery(p, model, 400, rng)
             assert norms.shape == (400,)
             assert np.min(norms) >= -1e-9
 
@@ -94,7 +94,7 @@ def test_refit_k_matches_pair_loop():
     n = povzner.PAIR_CHUNK + 7
     model = viscoelastic(1.0)
     for p in (2.0, 3.0):
-        _, norms = povzner.battery(p, model, n, np.random.default_rng(11), QUAD)
+        _, norms = povzner.battery(p, model, n, np.random.default_rng(11))
         k = povzner.PovznerCase(p).refit_k(norms)
         draw = np.random.default_rng(11)
         a_const = 2.0 ** (p - 1.0)
@@ -122,7 +122,7 @@ def test_gain_upper_bound(models, rng):
 
 
 def test_refit_k_positive(rng):
-    _, norms = povzner.battery(2.0, viscoelastic(1.0), 50, rng, QUAD)
+    _, norms = povzner.battery(2.0, viscoelastic(1.0), 50, rng)
     k = povzner.PovznerCase(2.0).refit_k(norms)
     assert k > 0.0
     # The printed constant must not exceed the refit headroom.

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsteady import verify
 from gsteady.errors import InputError
-from gsteady.restitution import (RestitutionModel, beta, constant, elastic,
-                                 ell_gamma, eval_e, implicit_residual,
-                                 log_grid, power_law, rescale, theta,
-                                 viscoelastic)
+from gsteady.restitution import (RestitutionModel, beta, constant, eval_e,
+                                 implicit_residual, log_grid, power_law,
+                                 rescale, theta, viscoelastic)
 
 # Frozen root of e + e^{3/5} = 1 (independent bracketed bisection oracle).
 E_VISC_AT_1 = 0.4123201971422618
@@ -80,23 +80,18 @@ def test_rescale_power_law_closed_form():
     np.testing.assert_allclose(eval_e(rescale(m, lam), r), expect, rtol=1e-13)
 
 
-def test_ell_gamma():
-    grid = log_grid()
-    assert ell_gamma(elastic(), grid) == 0.0
-    assert ell_gamma(power_law(1.0, 0.2), grid) <= 1.0
-    # Small-r limit of (1 - e)/r^gamma is a = 1; approach rate is O(r^gamma).
-    assert ell_gamma(power_law(1.0, 0.2), np.array([1e-15])) == pytest.approx(
-        1.0, rel=1e-2)
-
-
 def test_ell_gamma_rescale_bound():
     """ell(e_lam) <= lam^gamma ell(e) holds for true suprema; on a finite grid
     the left side can exceed by O(r_min^gamma), so the grid must reach low r."""
     m = viscoelastic(1.0)
     grid = log_grid(lo=1e-30)
     lam = 0.2
-    ratio = ell_gamma(rescale(m, lam), grid) / ell_gamma(m, grid)
-    assert ratio <= lam ** m.gamma * (1.0 + 1e-5)
+    ell = [np.max((1.0 - eval_e(model, grid)) / grid ** m.gamma)
+           for model in (rescale(m, lam), m)]
+    assert ell[0] / ell[1] <= lam ** m.gamma * (1.0 + 1e-5)
+    rows = {name: passed for name, _, passed in verify.check_restitution()}
+    assert rows["ell_gamma_rescale[power_law]"]
+    assert rows["ell_gamma_rescale[viscoelastic]"]
 
 
 def test_input_validation():
@@ -116,10 +111,6 @@ def test_input_validation():
         power_law(-1.0, 0.2)
     with pytest.raises(InputError):
         rescale(viscoelastic(1.0), 1.5)
-    with pytest.raises(InputError):
-        ell_gamma(viscoelastic(1.0), np.array([]))
-    with pytest.raises(InputError):
-        ell_gamma(viscoelastic(1.0), np.array([0.0, 1.0]))
 
 
 def test_gamma_bar_defaults():
