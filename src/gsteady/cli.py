@@ -209,10 +209,11 @@ def uniqueness_probe(config_path, inits, seeds):
     if seeds < 2:
         click.echo("need at least two seeds per initial condition", err=True)
         sys.exit(1)
-    try:
-        jobs = [(dataclasses.replace(setup.engine, seed=setup.engine.seed + k),
+    try:  # distinct seeds, so that the samples compared are independent
+        jobs = [(dataclasses.replace(setup.engine,
+                                     seed=setup.engine.seed + i * seeds + k),
                  setup.model, dataclasses.replace(setup.init, kind=kind))
-                for kind in inits for k in range(seeds)]
+                for i, kind in enumerate(inits) for k in range(seeds)]
     except InputError as exc:  # a derived seed outside [0, 2^63)
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)

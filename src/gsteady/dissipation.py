@@ -19,40 +19,48 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import InputError
 from .kinematics import gauss_laguerre, gauss_legendre
-from .restitution import RestitutionModel, eval_e
+from .restitution import RestitutionModel, e_of_s
 
 # Rows of psi_e's argument evaluated together, so that its (rows x 64 nodes)
-# quadrature temporaries stay a few MB whatever the input size.
-PSI_BLOCK = 4096
+# quadrature temporaries stay under 1 MB whatever the input size.
+PSI_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class DissipationSpec:
     """Quadrature setup for Psi_e built on a restitution model: 64
-    Gauss-Legendre nodes on z in [0, 1]."""
+    Gauss-Legendre nodes z on [0, 1], the node factor z^gamma of the law's
+    argument s = (lambda_scale sqrt(r) z)^gamma and the weights z^3 w."""
 
     model: RestitutionModel
-    _z: np.ndarray = field(init=False, repr=False)
-    _wz: np.ndarray = field(init=False, repr=False)
+    _z_gamma: np.ndarray = field(init=False, repr=False)
+    _z3w: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         z, w = gauss_legendre(64)
-        object.__setattr__(self, "_z", 0.5 * (z + 1.0))
-        object.__setattr__(self, "_wz", 0.5 * w)
+        z = 0.5 * (z + 1.0)
+        object.__setattr__(self, "_z_gamma", z ** self.model.gamma)
+        object.__setattr__(self, "_z3w", z ** 3 * (0.5 * w))
 
 
 def psi_e(spec: DissipationSpec, r):
-    """Energy dissipation potential at squared relative speed r."""
+    """Energy dissipation potential at squared relative speed r.
+
+    One law power per pair: s at node z is (lambda_scale sqrt(r))^gamma
+    times z^gamma, passed to the law core restitution.e_of_s.
+    """
     arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise InputError("psi_e argument must be non-negative")
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise InputError("psi_e argument must be finite and non-negative")
+    model = spec.model
     flat = arr.reshape(-1)
     out = np.empty_like(flat)
     for start in range(0, flat.size, PSI_BLOCK):
         blk = flat[start:start + PSI_BLOCK]
-        e = eval_e(spec.model, np.sqrt(blk)[:, None] * spec._z)
+        s = (model.lambda_scale * np.sqrt(blk)) ** model.gamma
+        e = e_of_s(model, s[:, None] * spec._z_gamma)
         out[start:start + PSI_BLOCK] = 0.5 * blk ** 1.5 * np.sum(
-            (1.0 - e * e) * spec._z ** 3 * spec._wz, axis=-1)
+            (1.0 - e * e) * spec._z3w, axis=-1)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

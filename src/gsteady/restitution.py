@@ -87,25 +87,61 @@ def _visco_newton(c):
     The quintic is increasing and convex on y > 0, so Newton from y = 1
     decreases monotonically onto the root.  Each element stops at the first
     step shorter than _NEWTON_STEP_TOL, so its value does not depend on the
-    rest of the array (c = 0 gives step 0, so y = 1).
+    rest of the array (c = 0 gives step 0, so y = 1).  Live elements are
+    updated in place under a mask; the arrays shrink to the live ones only
+    once fewer than half of them are live.
     """
     y = np.ones_like(c)
-    live = np.arange(c.size)
-    yl = y.copy()
-    cl = c.copy()
+    idx = None  # positions in y of yl's entries once compacted
+    yl, cl, c3 = y, c, 3.0 * c
+    on = np.ones(c.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
-        g = yl * yl * yl * (yl * yl + cl) - 1.0
-        dg = yl * yl * (5.0 * yl * yl + 3.0 * cl)
-        step = g / dg
-        yl -= step
-        done = np.abs(step) < _NEWTON_STEP_TOL
-        y[live[done]] = yl[done]
-        more = ~done
-        live, yl, cl = live[more], yl[more], cl[more]
-        if live.size == 0:
+        # step = g / dg, g = y^2 y (y^2 + c) - 1, dg = y^2 (5y y + 3c), each
+        # grouped as written and built in place to spare temporaries.
+        y2 = yl * yl
+        step = y2 * yl
+        step *= y2 + cl
+        step -= 1.0
+        dg = 5.0 * yl
+        dg *= yl
+        dg += c3
+        dg *= y2
+        step /= dg
+        np.subtract(yl, step, out=yl, where=on)
+        on &= ~(np.abs(step) < _NEWTON_STEP_TOL)
+        n_on = np.count_nonzero(on)
+        if n_on == 0:
             break
-    y[live] = yl
+        if 2 * n_on < on.size:
+            if idx is None:
+                idx = np.flatnonzero(on)
+            else:
+                y[idx] = yl
+                idx = idx[on]
+            yl, cl, c3 = y[idx], cl[on], c3[on]
+            on = np.ones(n_on, dtype=bool)
+    if idx is not None:
+        y[idx] = yl
     return y
+
+
+def e_of_s(model: RestitutionModel, s):
+    """The law core: e as a function of s = (lambda_scale * r) ** gamma, for
+    an array s of any shape, unchecked; eval_e is its checked entry.
+
+    The power law is 1 / (1 + a s); the viscoelastic law is e = y^5 with
+    y^5 + a s y^3 = 1.
+    """
+    if model.kind == CONSTANT:
+        return np.full(s.shape, model.e0)
+    if model.kind == POWER_LAW:
+        return 1.0 / (1.0 + model.a * s)
+    flat = s.reshape(-1)
+    e = np.empty(flat.shape)
+    for lo in range(0, flat.size, _NEWTON_BLOCK):
+        e[lo:lo + _NEWTON_BLOCK] = _visco_newton(
+            model.a * flat[lo:lo + _NEWTON_BLOCK]) ** 5
+    return e.reshape(s.shape)
 
 
 def eval_e(model: RestitutionModel, r):
@@ -120,17 +156,7 @@ def eval_e(model: RestitutionModel, r):
         raise InputError("impact speed must be finite and non-negative")
     # Computed on 1-d arrays: numpy's scalar pow rounds unlike its array pow.
     flat = arr.reshape(-1)
-    if model.kind == CONSTANT:
-        e = np.full(flat.shape, model.e0)
-    elif model.kind == POWER_LAW:
-        e = 1.0 / (1.0 + model.a * (model.lambda_scale * flat) ** model.gamma)
-    else:
-        # With y = e^{1/5} the implicit law is y^5 + c y^3 = 1, c = a r^{1/5}.
-        e = np.empty(flat.shape)
-        for lo in range(0, flat.size, _NEWTON_BLOCK):
-            blk = model.lambda_scale * flat[lo:lo + _NEWTON_BLOCK]
-            e[lo:lo + _NEWTON_BLOCK] = _visco_newton(
-                model.a * blk ** VISCO_GAMMA) ** 5
+    e = e_of_s(model, (model.lambda_scale * flat) ** model.gamma)
     return scalar_or_array(e.reshape(arr.shape))
 
 

@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -352,6 +353,29 @@ def test_snapshot_determinism_via_cli(runner, tmp_path):
     snap_a = (tmp_path / "a_snapshot.bin").read_bytes()
     snap_b = (tmp_path / "b_snapshot.bin").read_bytes()
     assert snap_a == snap_b
+
+
+def test_uniqueness_probe_seeds_are_distinct(runner, tmp_path, monkeypatch):
+    """Replica k of initial condition i runs with seed engine.seed + i * seeds
+    + k, so no two runs share a random stream."""
+    jobs = []
+
+    def fake_run_many(batch):
+        jobs.extend(batch)
+        report = SimpleNamespace(converged=True, temperature=0.5,
+                                 moments={2.0: 0.75})
+        return [(None, report)] * len(batch)
+
+    monkeypatch.setattr("gsteady.cli.run_many", fake_run_many)
+    cfg = write(tmp_path, BASE_CONFIG)
+    res = runner.invoke(main, ["uniqueness-probe", cfg, "--init", "maxwellian",
+                               "--init", "bimodal", "--init", "uniform_ball",
+                               "--seeds", "3"])
+    assert res.exit_code == 0, res.output
+    assert [(cfg.seed, init.kind) for cfg, _, init in jobs] == [
+        (5 + i * 3 + k, kind)
+        for i, kind in enumerate(("maxwellian", "bimodal", "uniform_ball"))
+        for k in range(3)]
 
 
 def test_uniqueness_probe_needs_two_seeds(runner, tmp_path, monkeypatch):

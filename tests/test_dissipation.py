@@ -10,8 +10,9 @@ from gsteady.dissipation import (PSI_BLOCK, DissipationSpec,
                                  steady_temperature_ansatz, theta_limit,
                                  zeta_lambda, zeta_zero)
 from gsteady.errors import InputError
-from gsteady.restitution import (constant, elastic, eval_e, power_law,
-                                viscoelastic)
+from gsteady.kinematics import gauss_legendre
+from gsteady.restitution import (constant, e_of_s, elastic, eval_e, power_law,
+                                 rescale, viscoelastic)
 
 # Frozen oracles (independent closed-form / bisection evaluation).
 ZETA0_A1_G02_R4 = 2.187996866661019  # 4^{1.6} / 4.2
@@ -50,6 +51,28 @@ def test_psi_small_r_asymptotic():
 def test_psi_negative_rejected():
     with pytest.raises(InputError):
         psi_e(DissipationSpec(viscoelastic(1.0)), -0.1)
+
+
+@pytest.mark.parametrize("r", [-0.1, np.nan, np.inf, [1.0, np.nan, 2.0],
+                               [[0.5, -np.inf]]])
+def test_psi_rejects_negative_and_non_finite(r):
+    with pytest.raises(InputError):
+        psi_e(DissipationSpec(power_law(1.0, 0.2)), r)
+
+
+@pytest.mark.parametrize("model", [
+    constant(0.4), power_law(1.0, 0.2), rescale(power_law(1.0, 1.0), 0.3),
+    viscoelastic(1.0), rescale(viscoelastic(1.0), 0.1)])
+def test_psi_e_matches_per_node_definition(model):
+    """One law power per pair agrees with evaluating e at every node,
+    0.5 r^1.5 sum_k (1 - e(sqrt(r) z_k)^2) z_k^3 w_k."""
+    z, w = gauss_legendre(64)
+    z, w = 0.5 * (z + 1.0), 0.5 * w
+    r = np.concatenate([[0.0], np.logspace(-12, 8, 400)])
+    e = np.asarray(eval_e(model, np.sqrt(r)[:, None] * z))
+    ref = 0.5 * r ** 1.5 * np.sum((1.0 - e * e) * z ** 3 * w, axis=-1)
+    np.testing.assert_allclose(psi_e(DissipationSpec(model), r), ref,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_psi_convex_nondecreasing():
@@ -208,9 +231,9 @@ def test_psi_e_blocks_match_whole_array():
     r = np.random.default_rng(4).exponential(2.0, size=2 * PSI_BLOCK + 5)
     for model in (power_law(1.0, 0.2), viscoelastic(1.0)):
         spec = DissipationSpec(model)
-        e = np.asarray(eval_e(model, np.sqrt(r)[:, None] * spec._z))
-        whole = 0.5 * r ** 1.5 * np.sum((1.0 - e * e) * spec._z ** 3 * spec._wz,
-                                        axis=-1)
+        s = (model.lambda_scale * np.sqrt(r)) ** model.gamma
+        e = e_of_s(model, s[:, None] * spec._z_gamma)
+        whole = 0.5 * r ** 1.5 * np.sum((1.0 - e * e) * spec._z3w, axis=-1)
         np.testing.assert_array_equal(psi_e(spec, r), whole)
         np.testing.assert_array_equal(psi_e(spec, r.reshape(-1, 1)),
                                       whole.reshape(-1, 1))

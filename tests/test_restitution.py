@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from gsteady import verify
 from gsteady.errors import InputError
-from gsteady.restitution import (RestitutionModel, beta, constant, eval_e,
-                                 implicit_residual, log_grid, power_law,
-                                 rescale, theta, viscoelastic)
+from gsteady.restitution import (RestitutionModel, _visco_newton, beta,
+                                 constant, eval_e, implicit_residual, log_grid,
+                                 power_law, rescale, theta, viscoelastic)
 
 # Frozen root of e + e^{3/5} = 1 (independent bracketed bisection oracle).
 E_VISC_AT_1 = 0.4123201971422618
@@ -33,6 +33,18 @@ def test_power_law_closed_form():
 
 def test_constant_beta():
     assert beta(constant(0.5), 7.3) == 0.75
+
+
+def test_visco_newton_does_not_depend_on_its_array():
+    """Each element equals a lone call on it, whether it stops with most of
+    the array or is left among the few slow ones after the arrays shrink."""
+    rng = np.random.default_rng(12)
+    c = np.concatenate([[0.0, 1e-30, 1e3, 1e8], 10.0 ** rng.uniform(-8, 8, 200),
+                        rng.uniform(0.0, 2.0, 200)])
+    rng.shuffle(c)
+    y = _visco_newton(c)
+    for i, ci in enumerate(c):
+        assert y[i] == _visco_newton(np.array([ci]))[0], ci
 
 
 def test_implicit_residual_tight():
