@@ -7,6 +7,7 @@ numpy's `pow` rounds differently from libm's.
 
 import numpy as np
 
+from .errors import MajorantViolation
 from .kinematics import _dot, sigma_collision
 from .restitution import RestitutionModel
 
@@ -20,14 +21,14 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
     particles, and each sees the velocities the one-at-a-time loop would
     give it.
 
-    Mutates vel in place.  Returns (accepted, energy_loss, violated).
-    violated = 1 flags a pair whose relative speed exceeded umax: the sweep
-    stops there with counts of 0 and vel part-updated, so the caller must
-    discard the step.
+    Mutates vel in place.  Returns (accepted, energy_loss).  Raises
+    MajorantViolation at the first round that holds a pair whose relative
+    speed exceeds umax, with vel part-updated, so the caller must discard
+    vel.
     """
     m = idx_i.shape[0]
     if m == 0:
-        return 0, 0.0, 0
+        return 0, 0.0
     # Endpoint 2k is i_k and 2k+1 is j_k.  Sorting the unique keys
     # particle * 2m + position lists each particle's endpoints in candidate
     # order, and the keys decode back to (particle, position).
@@ -63,7 +64,7 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
         u = vi - vj
         un = np.sqrt(_dot(u, u))
         if np.any(un > umax):
-            return 0, 0.0, 1
+            raise MajorantViolation("pairwise speed exceeded U_max")
         # Negated skip test, so a NaN speed collides as in the scalar loop.
         hit = ~((un <= 0.0) | (accept_u.take(ks) * umax >= un))
         if not hit.any():
@@ -74,4 +75,4 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, sigma, umax,
         vel[j[hit]] = vj[hit] + h
         accepted += ks.size
     # Accumulated in candidate order, as the sequential sweep adds them.
-    return accepted, float(np.cumsum(terms)[-1]), 0
+    return accepted, float(np.cumsum(terms)[-1])

@@ -203,8 +203,8 @@ def theta(a, gamma):
 def uniqueness_probe(config_path, inits, seeds):
     """Compare steady temperatures across distinct initial conditions."""
     values, setup = _load_setup(config_path)
-    if len(inits) < 2:
-        click.echo("need at least two initial conditions", err=True)
+    if len(inits) < 2 or len(set(inits)) < len(inits):
+        click.echo("need at least two distinct initial conditions", err=True)
         sys.exit(1)
     if seeds < 2:
         click.echo("need at least two seeds per initial condition", err=True)

@@ -11,7 +11,6 @@ through run_many, which spreads them over a fork process pool.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import _kernels
 from .dissipation import DissipationSpec, dissipation_functional, psi_e
-from .errors import ConfigError, InputError, MajorantViolation, TimeStepError
+from .errors import ConfigError, InputError, TimeStepError
 from .observables import DEFAULT_P_SET, default_tail_rate, moments, tail_integral
 from .restitution import RestitutionModel
 
@@ -110,12 +109,22 @@ class Ensemble:
         return 2.0 * self.n_collisions / (self.n * self.step_count)
 
 
-@dataclass
+_INIT_KINDS = ("maxwellian", "bimodal", "uniform_ball")
+
+
+@dataclass(frozen=True)
 class InitialCondition:
-    kind: str = "maxwellian"  # maxwellian | bimodal | uniform_ball
+    kind: str = "maxwellian"
     t0: float = 1.0
     v0: float = 1.0
     radius: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in _INIT_KINDS:
+            raise ConfigError(f"init.kind must be one of {list(_INIT_KINDS)}, "
+                              f"got {self.kind!r}")
+        if not (math.isfinite(self.t0) and self.t0 > 0.0):
+            raise ConfigError("init.T0 must be finite and positive")
 
 
 @dataclass
@@ -129,7 +138,6 @@ class SteadyReport:
     steps: int
     converged: bool
     collision_prob: float
-    slope: float
     series: list = field(default_factory=list, repr=False)
 
 SERIES_COLUMNS = ("step", "t", "m1", "m3_2", "m2", "m3",
@@ -148,12 +156,10 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
         vel[:half, 0] = init.v0
         vel[half:, 0] = -init.v0
         vel += rng.normal(0.0, 1e-3 * abs(init.v0), size=(n, 3))
-    elif init.kind == "uniform_ball":
+    else:  # uniform_ball
         raw = rng.normal(size=(n, 3))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
         vel = init.radius * raw * rng.random(n)[:, None] ** (1.0 / 3.0)
-    else:
-        raise ConfigError(f"unknown init.kind {init.kind!r}")
     vel -= vel.mean(axis=0)
     if init.kind == "maxwellian":
         # Pin the empirical temperature exactly at t0.
@@ -163,41 +169,32 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
 
 
 def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemble:
-    """Advance the ensemble by one time step in place.
+    """Advance the ensemble by one time step.
 
-    The step commits in full or not at all: if it raises, the velocities and
-    every counter are restored to their pre-step values before the error
-    propagates, so the energy ledger stays exact for a caller that catches it.
+    The step is built in a new velocity array and commits once, after its
+    last check: `ens.velocities` is replaced by that array and the counters
+    move.  A step that raises leaves the ensemble and its energy ledger as
+    they were.
     """
-    saved = dataclasses.replace(ens, velocities=ens.velocities.copy())
-    try:
-        _advance(ens, config, model)
-    except BaseException:
-        np.copyto(ens.velocities, saved.velocities)
-        for f in dataclasses.fields(Ensemble):
-            if f.name != "velocities":
-                setattr(ens, f.name, getattr(saved, f.name))
-        raise
-    return ens
-
-
-def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> None:
-    vel = ens.velocities
     n = ens.n
     dt = config.dt
 
+    bath = 0.0
     if config.mu > 0.0:
         rng = _stream(config.seed, ens.step_count, _STREAM_BATH)
-        kick = rng.normal(0.0, math.sqrt(2.0 * config.mu * dt), size=vel.shape)
-        before = float(np.einsum("ij,ij->", vel, vel))
-        vel += kick
-        ens.bath_energy += float(np.einsum("ij,ij->", vel, vel)) - before
+        vel = rng.normal(0.0, math.sqrt(2.0 * config.mu * dt),
+                         size=ens.velocities.shape)
+        vel += ens.velocities
+        bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
+    else:
+        vel = ens.velocities.copy()
 
     vmax = math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
     if not math.isfinite(vmax):
         raise TimeStepError("non-finite velocity; check dt and mu")
     umax = _UMAX_FACTOR * 2.0 * vmax
     accepted = 0
+    loss = 0.0
     if umax > 0.0:
         rng = _stream(config.seed, ens.step_count, _STREAM_COLLIDE)
         m = int(rng.poisson((n - 1) * umax * dt / 2.0))
@@ -209,27 +206,28 @@ def _advance(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> No
             raw = rng.normal(size=(m, 3))
             norms = np.linalg.norm(raw, axis=1, keepdims=True)
             sigma = raw / np.maximum(norms, 1e-300)
-            accepted, loss, violated = _kernels.apply_collisions(
+            accepted, loss = _kernels.apply_collisions(
                 vel, ii.astype(np.int64), jj.astype(np.int64), accept_u,
                 sigma, umax, model)
-            if violated:
-                raise MajorantViolation("pairwise speed exceeded U_max")
-            ens.n_collisions += accepted
-            ens.collision_loss += loss
 
-    ens.collision_prob_ema = (0.9 * ens.collision_prob_ema
-                              + 0.1 * (2.0 * accepted / n))
-    if ens.step_count > 20 and ens.collision_prob_ema > 0.2:
+    ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * accepted / n)
+    if ens.step_count > 20 and ema > 0.2:
         raise TimeStepError(
             f"per-particle collision probability per step "
-            f"{ens.collision_prob_ema:.3f} exceeds 0.2; reduce dt")
+            f"{ema:.3f} exceeds 0.2; reduce dt")
 
     mean = vel.mean(axis=0)
-    ens.recenter_energy -= n * float(mean @ mean)
     vel -= mean
 
+    ens.velocities = vel
+    ens.bath_energy += bath
+    ens.n_collisions += accepted
+    ens.collision_loss += loss
+    ens.collision_prob_ema = ema
+    ens.recenter_energy -= n * float(mean @ mean)
     ens.t += dt
     ens.step_count += 1
+    return ens
 
 
 def _fit_slope(ts: np.ndarray, ys: np.ndarray) -> float:
@@ -251,7 +249,6 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
     spec = DissipationSpec(model)
     series: list[tuple] = []
     converged = False
-    slope = math.nan
 
     while ens.step_count < config.max_steps:
         step(ens, config, model)
@@ -287,7 +284,6 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
         steps=ens.step_count,
         converged=converged,
         collision_prob=ens.collision_prob(),
-        slope=slope,
         series=series,
     )
     return ens, report

@@ -112,7 +112,7 @@ def _valid_values():
         "restitution.e0": unit,
         "restitution.lambda": unit,
         "init.kind": st.sampled_from(["maxwellian", "bimodal", "uniform_ball"]),
-        "init.T0": floats(-1e300, 1e300),
+        "init.T0": floats(0.0, 1e300, exclude_min=True),
         "init.v0": floats(-1e300, 1e300),
         "init.R": floats(-1e300, 1e300),
         "run.max_steps": st.integers(1, 10 ** 9),
@@ -213,6 +213,37 @@ def test_uniqueness_probe_derived_seed_out_of_range(runner, tmp_path,
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "config error: seed must lie in [0, 2^63)" in result.output
+    assert runs == []
+
+
+@pytest.mark.parametrize("line, message", [
+    ("init.T0 = 0", "init.T0 must be finite and positive"),
+    ("init.T0 = -1", "init.T0 must be finite and positive"),
+    ("init.kind = nope", "init.kind must be one of"),
+])
+def test_bad_initial_condition_is_config_error(runner, tmp_path, monkeypatch,
+                                               line, message):
+    """An initial condition with no ensemble behind it exits 1 with one line,
+    from simulate and from uniqueness-probe, before any run."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    key = line.split(" = ")[0]
+    text = re.sub(f"^{re.escape(key)} = .*$", line, BASE_CONFIG, flags=re.M)
+    cfg = write(tmp_path, text)
+    result = runner.invoke(main, ["simulate", cfg,
+                                  "--out-prefix", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"config error: {message}")
+    if key == "init.kind":
+        cfg = write(tmp_path, BASE_CONFIG)
+        result = runner.invoke(main, ["uniqueness-probe", cfg, "--init",
+                                      "maxwellian", "--init", "nope"])
+    else:
+        result = runner.invoke(main, ["uniqueness-probe", cfg])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"config error: {message}")
     assert runs == []
 
 
@@ -387,4 +418,16 @@ def test_uniqueness_probe_needs_two_seeds(runner, tmp_path, monkeypatch):
         res = runner.invoke(main, ["uniqueness-probe", cfg, "--seeds", seeds])
         assert res.exit_code == 1
         assert "at least two seeds" in res.output
+    assert runs == []
+
+
+def test_uniqueness_probe_rejects_repeated_init(runner, tmp_path, monkeypatch):
+    """A repeated --init would compare a sample with itself: exit 1, no run."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    cfg = write(tmp_path, BASE_CONFIG)
+    res = runner.invoke(main, ["uniqueness-probe", cfg, "--init", "maxwellian",
+                               "--init", "maxwellian"])
+    assert res.exit_code == 1
+    assert "distinct initial conditions" in res.output
     assert runs == []

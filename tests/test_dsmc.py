@@ -197,12 +197,18 @@ def test_ledger_exact_property(n, dt, mu, lam, law, seed):
 
 
 def test_time_step_error_on_large_dt():
+    """The collision-probability check raises before the step commits: the
+    ensemble keeps the state it had before the raising step."""
     cfg = small_config(n=400, dt=2.0, mu=0.0)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=4.0))
     e0 = ens.energy()
-    with pytest.raises(TimeStepError):
+    with pytest.raises(TimeStepError, match="collision probability"):
         for _ in range(100):
+            before = _ledger_state(ens)
             step(ens, cfg, elastic())
+    after = _ledger_state(ens)
+    np.testing.assert_array_equal(after[0], before[0])
+    assert after[1:] == before[1:]
     _assert_ledger_exact(ens, e0)
 
 
