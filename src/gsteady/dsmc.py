@@ -30,7 +30,9 @@ _STREAM_DIAG = 3
 
 # The majorant rate is U_max = _UMAX_FACTOR * 2 max|v|.  Every pairwise speed
 # has |u| <= 2 max|v|, so any factor above 1 is a majorant; changing the
-# factor changes every trajectory.
+# factor changes every trajectory.  The sweep spends the margin above 1 on
+# speed (`_kernels._SPEED_BOUND`): it skips the candidates it is sure to
+# reject, which changes no trajectory.
 _UMAX_FACTOR = 2.0
 
 SNAPSHOT_MAGIC = "GSTEADY2"
@@ -123,8 +125,9 @@ class InitialCondition:
         if self.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {list(_INIT_KINDS)}, "
                               f"got {self.kind!r}")
-        if not (math.isfinite(self.t0) and self.t0 > 0.0):
-            raise ConfigError("init.T0 must be finite and positive")
+        for key, value in (("T0", self.t0), ("v0", self.v0), ("R", self.radius)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"init.{key} must be finite and positive")
 
 
 @dataclass
@@ -155,7 +158,7 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
         vel = np.zeros((n, 3))
         vel[:half, 0] = init.v0
         vel[half:, 0] = -init.v0
-        vel += rng.normal(0.0, 1e-3 * abs(init.v0), size=(n, 3))
+        vel += rng.normal(0.0, 1e-3 * init.v0, size=(n, 3))
     else:  # uniform_ball
         raw = rng.normal(size=(n, 3))
         raw /= np.linalg.norm(raw, axis=1, keepdims=True)
@@ -203,12 +206,9 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
             jj = rng.integers(0, n - 1, size=m)
             jj = jj + (jj >= ii)
             accept_u = rng.random(m)
-            raw = rng.normal(size=(m, 3))
-            norms = np.linalg.norm(raw, axis=1, keepdims=True)
-            sigma = raw / np.maximum(norms, 1e-300)
+            normals = rng.normal(size=(m, 3))
             accepted, loss = _kernels.apply_collisions(
-                vel, ii.astype(np.int64), jj.astype(np.int64), accept_u,
-                sigma, umax, model)
+                vel, ii, jj, accept_u, normals, umax, model, vmax)
 
     ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * accepted / n)
     if ens.step_count > 20 and ema > 0.2:

@@ -113,8 +113,8 @@ def _valid_values():
         "restitution.lambda": unit,
         "init.kind": st.sampled_from(["maxwellian", "bimodal", "uniform_ball"]),
         "init.T0": floats(0.0, 1e300, exclude_min=True),
-        "init.v0": floats(-1e300, 1e300),
-        "init.R": floats(-1e300, 1e300),
+        "init.v0": floats(0.0, 1e300, exclude_min=True),
+        "init.R": floats(0.0, 1e300, exclude_min=True),
         "run.max_steps": st.integers(1, 10 ** 9),
         "run.window": st.integers(2, 10 ** 6),
         "run.tol": floats(0.0, 1e300, exclude_min=True),
@@ -219,6 +219,10 @@ def test_uniqueness_probe_derived_seed_out_of_range(runner, tmp_path,
 @pytest.mark.parametrize("line, message", [
     ("init.T0 = 0", "init.T0 must be finite and positive"),
     ("init.T0 = -1", "init.T0 must be finite and positive"),
+    ("init.v0 = 0", "init.v0 must be finite and positive"),
+    ("init.v0 = -1.5", "init.v0 must be finite and positive"),
+    ("init.R = 0", "init.R must be finite and positive"),
+    ("init.R = -2", "init.R must be finite and positive"),
     ("init.kind = nope", "init.kind must be one of"),
 ])
 def test_bad_initial_condition_is_config_error(runner, tmp_path, monkeypatch,
@@ -229,6 +233,8 @@ def test_bad_initial_condition_is_config_error(runner, tmp_path, monkeypatch,
     monkeypatch.setattr("gsteady.cli.run_many", runs.append)
     key = line.split(" = ")[0]
     text = re.sub(f"^{re.escape(key)} = .*$", line, BASE_CONFIG, flags=re.M)
+    if line not in text:
+        text += line + "\n"
     cfg = write(tmp_path, text)
     result = runner.invoke(main, ["simulate", cfg,
                                   "--out-prefix", str(tmp_path / "x")])

@@ -81,6 +81,22 @@ def test_initial_conditions():
         initial_ensemble(cfg, InitialCondition("bogus"))
 
 
+@pytest.mark.parametrize("field, key", [("v0", "init.v0"), ("radius", "init.R")])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_initial_condition_rejects_non_positive_scale(field, key, value):
+    """A bimodal start at v0 = 0 (or a ball of radius 0) would put every
+    particle at rest; a negative one is no start at all."""
+    message = f"{key} must be finite and positive"
+    with pytest.raises(ConfigError, match=message):
+        InitialCondition("bimodal", **{field: value})
+    if math.isfinite(value):
+        text = ("engine.N = 10\nengine.dt = 0.01\nengine.mu = 0.0\n"
+                "restitution.kind = constant\nrestitution.e0 = 0.5\n"
+                "init.kind = bimodal\n")
+        with pytest.raises(ConfigError, match=message):
+            build_setup(parse_config_text(text + f"{key} = {value}\n"))
+
+
 def test_bath_only_energy_growth():
     """With elastic collisions, which lose no energy, the mean-square speed
     grows at the bath rate 6 mu."""

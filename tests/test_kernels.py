@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsteady import _kernels, dsmc
 from gsteady.dsmc import EngineConfig, InitialCondition, initial_ensemble, step
@@ -36,8 +38,11 @@ def reference_e(model, r):
     return y ** 5
 
 
-def reference_sweep(vel, idx_i, idx_j, accept_u, sigma, umax, model):
-    """One candidate at a time, in order: the sweep's defining semantics."""
+def reference_sweep(vel, idx_i, idx_j, accept_u, normals, umax, model):
+    """One candidate at a time, in order: the sweep's defining semantics.
+    The raw normals are normalised as the engine normalises them."""
+    sigma = normals / np.maximum(
+        np.linalg.norm(normals, axis=1, keepdims=True), 1e-300)
     accepted = 0
     loss = 0.0
     for k in range(idx_i.shape[0]):
@@ -85,6 +90,11 @@ MODELS = {
 EXACT = {"elastic", "constant"}
 
 
+def _vmax(vel):
+    """max|v|, computed as the engine step computes it."""
+    return math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
+
+
 def _compare(name, vel, draw):
     """Run both sweeps from vel on one draw; return the kernel's
     (accepted, loss), or None when the reference flags a violation and the
@@ -96,9 +106,9 @@ def _compare(name, vel, draw):
     if ref[2]:
         # The step is discarded: no counts or velocities to compare.
         with pytest.raises(MajorantViolation):
-            _kernels.apply_collisions(new_vel, *draw, model)
+            _kernels.apply_collisions(new_vel, *draw, model, _vmax(vel))
         return None
-    out = _kernels.apply_collisions(new_vel, *draw, model)
+    out = _kernels.apply_collisions(new_vel, *draw, model, _vmax(vel))
     assert out[0] == ref[0]
     if name in EXACT:
         assert out[1] == ref[1]
@@ -114,9 +124,7 @@ def _random_draw(rng, n, m, umax):
     ii = rng.integers(0, n, size=m)
     jj = rng.integers(0, n - 1, size=m)
     jj = jj + (jj >= ii)
-    raw = rng.normal(size=(m, 3))
-    sigma = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return ii, jj, rng.random(m), sigma, umax
+    return ii, jj, rng.random(m), rng.normal(size=(m, 3)), umax
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -125,15 +133,17 @@ def test_sweep_matches_reference_on_engine_draw(name, monkeypatch):
     captured = {}
     real = _kernels.apply_collisions
 
-    def spy(vel, *draw_and_model):
+    def spy(vel, *draw_model_vmax):
         captured["vel"] = vel.copy()
-        captured["draw"] = draw_and_model[:5]
-        return real(vel, *draw_and_model)
+        captured["draw"] = draw_model_vmax[:5]
+        captured["vmax"] = draw_model_vmax[6]
+        return real(vel, *draw_model_vmax)
 
     monkeypatch.setattr(dsmc._kernels, "apply_collisions", spy)
     cfg = EngineConfig(n=100_000, dt=0.04, mu=0.1 ** 0.2, seed=5)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.5))
     step(ens, cfg, MODELS[name])
+    assert captured["vmax"] == _vmax(captured["vel"])
     accepted, _ = _compare(name, captured["vel"], captured["draw"])
     assert 1000 < accepted < len(captured["draw"][0])
 
@@ -146,9 +156,9 @@ def test_sweep_matches_reference_on_long_chain(name):
     vel = rng.normal(size=(n, 3))
     # No particle is faster than sqrt(E), so no pair ever exceeds umax.
     umax = 2.0 * math.sqrt(float(np.sum(vel * vel)))
-    ii, jj, accept_u, sigma, _ = _random_draw(rng, n, m, umax)
+    ii, jj, accept_u, normals, _ = _random_draw(rng, n, m, umax)
     jj[::37] = ii[::37]  # self-pairs have zero relative speed and do nothing
-    accepted, _ = _compare(name, vel, (ii, jj, accept_u, sigma, umax))
+    accepted, _ = _compare(name, vel, (ii, jj, accept_u, normals, umax))
     assert accepted > 20
 
 
@@ -161,13 +171,42 @@ def test_sweep_reports_first_violation(name):
     vel[:6] = 0.5 * rng.normal(size=(6, 3))
     vel[6:] = 10.0 * np.eye(3)  # particles 6, 7, 8 are too fast for umax
     pairs = np.array([(0, 1), (0, 1), (0, 6), (2, 3), (4, 7), (2, 5), (5, 8)])
-    raw = rng.normal(size=(len(pairs), 3))
-    sigma = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    normals = rng.normal(size=(len(pairs), 3))
     # The first three pairs violate only on the third round, after two
     # collisions; all seven violate on the first round as well.
     for m in (3, 7):
-        draw = (pairs[:m, 0], pairs[:m, 1], np.zeros(m), sigma[:m], 5.0)
+        draw = (pairs[:m, 0], pairs[:m, 1], np.zeros(m), normals[:m], 5.0)
         assert _compare(name, vel, draw) is None
+
+
+@pytest.mark.parametrize("name", ["elastic", "constant"])
+def test_sweep_reruns_when_a_collision_beats_the_speed_bound(name):
+    """A collision lifts a particle above the sweep's speed bound
+    1.1 max|v|, and a later candidate whose accept threshold the bound
+    would reject is then accepted."""
+    vel = np.array([[1.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0],
+                    [-0.7, -0.7, 0.0]])
+    # Candidate 0 sends particle 0 to (1, 1, 0) when elastic, (1, 0.75, 0)
+    # at e = 0.5.  Candidate 1 then has |u| = 2.40 or 2.23 against a
+    # threshold of 0.555 umax = 2.22, above twice the bound.
+    draw = (np.array([0, 0]), np.array([1, 2]), np.array([0.0, 0.555]),
+            np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 4.0 * _vmax(vel))
+    assert 0.555 * draw[4] > 2.0 * (1.0 + 1e-12) * _kernels._SPEED_BOUND
+    accepted, _ = _compare(name, vel, draw)
+    assert accepted == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(MODELS)), n=st.integers(2, 6),
+       m=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_matches_reference_property(name, n, m, seed):
+    """Few particles and the engine's umax = 4 max|v|: collisions often
+    beat the speed bound, and the sweep must still match the one-at-a-time
+    loop (or raise where it raises)."""
+    rng = np.random.default_rng(seed)
+    vel = rng.normal(size=(n, 3))
+    _compare(name, vel, _random_draw(rng, n, m, 4.0 * _vmax(vel)))
 
 
 def test_viscoelastic_vec_matches_scalar():
