@@ -19,11 +19,15 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import InputError
 from .kinematics import gauss_laguerre, gauss_legendre
+from .observables import maxwell_moment
 from .restitution import RestitutionModel, e_of_s
 
-# Rows of psi_e's argument evaluated together, so that its (rows x 64 nodes)
-# quadrature temporaries stay under 1 MB whatever the input size.
-PSI_BLOCK = 1024
+# Rows of psi_e's argument evaluated together.  The law core solves the
+# viscoelastic law on a whole (rows x 64 nodes) block at once, and its Newton
+# temporaries should stay cache-sized: on a 2-core x86_64 host one solve of
+# 16,384 elements took 0.42 ms and one of 65,536 took 2.55 ms, about 1.5x
+# slower per element.
+PSI_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,6 @@ class ThetaResult:
     theta_paper_formula: float
 
 
-def maxwell_relative_speed_moment(theta: float, q: float) -> float:
-    """E|V - V*|^q for independent isotropic Gaussians of temperature theta."""
-    return (4.0 * theta) ** (0.5 * q) * gamma_fn(0.5 * (q + 3.0)) / gamma_fn(1.5)
-
-
 def theta_limit(a: float, gamma: float) -> ThetaResult:
     """Temperature of the quasi-elastic limit Maxwellian.
 
@@ -134,9 +133,11 @@ def theta_limit(a: float, gamma: float) -> ThetaResult:
     if a <= 0.0 or gamma <= 0.0:
         raise InputError("theta_limit requires a > 0 and gamma > 0")
     q = 3.0 + gamma
-    # E|V - V*|^q scales as theta^{q/2}: solve from its value at 4 theta = 1.
+    # V - V* is Gaussian at temperature 2 theta, so E|V - V*|^q is the
+    # Maxwellian moment m_{q/2}(2 theta), which scales as theta^{q/2}: solve
+    # from its value at 4 theta = 1.
     theta = 0.25 * (6.0 * (4.0 + gamma)
-                    / (a * maxwell_relative_speed_moment(0.25, q))) ** (2.0 / q)
+                    / (a * maxwell_moment(0.5, 0.5 * q))) ** (2.0 / q)
     m_q = 4.0 / np.sqrt(np.pi) * 2.0 ** (0.5 * (q + 1.0)) * gamma_fn(0.5 * (q + 3.0))
     theta_paper = (6.0 * (4.0 + gamma) / (a * 2.0 ** 1.5 * m_q)) ** (2.0 / q)
     return ThetaResult(theta=float(theta), theta_paper_formula=float(theta_paper))

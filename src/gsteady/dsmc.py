@@ -125,9 +125,14 @@ class InitialCondition:
         if self.kind not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {list(_INIT_KINDS)}, "
                               f"got {self.kind!r}")
-        for key, value in (("T0", self.t0), ("v0", self.v0), ("R", self.radius)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"init.{key} must be finite and positive")
+        if not (math.isfinite(self.t0) and self.t0 > 0.0):
+            raise ConfigError("init.T0 must be finite and positive")
+        # v0 and R are speeds: one whose square rounds to 0 or overflows
+        # starts the ensemble at rest or at infinite energy.
+        for key, value in (("v0", self.v0), ("R", self.radius)):
+            if not (value > 0.0 and 0.0 < value * value < math.inf):
+                raise ConfigError(f"init.{key} must be finite and positive, "
+                                  "with a square above 0 and below inf")
 
 
 @dataclass

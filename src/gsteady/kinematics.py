@@ -183,15 +183,13 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
 
 
 def gain_average(psi, v, vstar, model: RestitutionModel,
-                 quad: AngularQuadrature | None = None):
+                 quad: AngularQuadrature):
     """Isotropic sphere average of psi(|v'|^2) + psi(|v'*|^2).
 
     v, vstar are one pair (3,) or a batch (m, 3); psi takes squared speeds,
     an array of shape (...), and returns shape (...) or (..., k); the result
     has the batch shape followed by psi's trailing shape.
     """
-    if quad is None:
-        quad = AngularQuadrature()
     xp, xps, w = post_collision_grid(v, vstar, model, quad)
     vals = np.asarray(psi(xp)) + np.asarray(psi(xps))
     # Gauss-Legendre in cos(theta) over axis `lead`, uniform in azimuth.
@@ -200,7 +198,7 @@ def gain_average(psi, v, vstar, model: RestitutionModel,
 
 
 def angular_average(psi, v, vstar, model: RestitutionModel,
-                    quad: AngularQuadrature | None = None):
+                    quad: AngularQuadrature):
     """Isotropic sphere average of
     psi(|v'|^2) + psi(|v'*|^2) - psi(|v|^2) - psi(|v*|^2).
 

@@ -34,28 +34,27 @@ def alpha_e(model: RestitutionModel, s):
 
     One value or an array.  Each element bisects until its own bracket is
     shorter than ROOT_TOL * max(1, s), so its value does not depend on the
-    rest of the array.
+    rest of the array: the live brackets are narrowed in place under a mask
+    until none is live.
     """
     s = _non_negative(s, "alpha_e")
     flat = s.reshape(-1)
-    # s = 0 and an exact eta_e(s) = s both return s itself.
-    out = flat.copy()
-    live = np.flatnonzero((flat != 0.0) & (eta_e(model, flat) - flat != 0.0))
-    sl = flat[live]
-    lo, hi = sl, 2.0 * sl
-    tol = ROOT_TOL * np.maximum(1.0, sl)
+    # s = 0 and an exact eta_e(s) = s both return s itself; their brackets
+    # stay at [0, 0], so that no midpoint overflows.
+    bisect = (flat != 0.0) & (eta_e(model, flat) - flat != 0.0)
+    lo = np.where(bisect, flat, 0.0)
+    hi = 2.0 * lo
+    tol = ROOT_TOL * np.maximum(1.0, lo)
+    on = bisect.copy()
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = eta_e(model, mid) - sl <= 0.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        done = hi - lo < tol
-        out[live[done]] = 0.5 * (lo[done] + hi[done])
-        more = ~done
-        live, sl, lo, hi, tol = live[more], sl[more], lo[more], hi[more], tol[more]
-        if live.size == 0:
+        below = eta_e(model, mid) - flat <= 0.0
+        np.copyto(lo, mid, where=on & below)
+        np.copyto(hi, mid, where=on & ~below)
+        on &= ~(hi - lo < tol)
+        if not on.any():
             break
-    out[live] = 0.5 * (lo + hi)
+    out = np.where(bisect, 0.5 * (lo + hi), flat)
     return scalar_or_array(out.reshape(s.shape))
 
 

@@ -68,7 +68,7 @@ class PovznerCase:
 
 
 def angular_kernel(v, vstar, p: float, model: RestitutionModel,
-                   quad: AngularQuadrature | None = None):
+                   quad: AngularQuadrature):
     """Sphere average of the x^p collision difference (full 2-D quadrature).
 
     One pair (3,) gives a float, 0.0 when v == v*; a batch (m, 3) gives
@@ -79,7 +79,7 @@ def angular_kernel(v, vstar, p: float, model: RestitutionModel,
 
 
 def gain_term(v, vstar, p: float, model: RestitutionModel,
-              quad: AngularQuadrature | None = None):
+              quad: AngularQuadrature):
     """Sphere average of Psi(|v'|^2) + Psi(|v'*|^2) alone; one pair or a batch."""
     return scalar_or_array(gain_average(lambda x: x ** p, v, vstar, model, quad))
 
@@ -98,7 +98,7 @@ def gain_upper_bound(v, vstar, p: float):
 
 
 def check_inequality(v, vstar, p: float, model: RestitutionModel,
-                     quad: AngularQuadrature | None = None):
+                     quad: AngularQuadrature):
     """Signed margin of the Povzner bound; non-negative when it holds.
 
     One pair gives a float, a batch (m, 3) shape (m,)."""

@@ -25,8 +25,6 @@ VISCO_GAMMA = 0.2
 VISCO_GAMMA_BAR = 0.4
 _NEWTON_MAX_ITER = 200
 _NEWTON_STEP_TOL = 1e-15
-# Elements per block of the viscoelastic Newton solve; bounds its temporaries.
-_NEWTON_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,46 +80,33 @@ def scalar_or_array(out):
 
 
 def _visco_newton(c):
-    """Root y of y^5 + c y^3 = 1 per element of the 1-d array c.
+    """Root y of y^5 + c y^3 = 1 per element of the array c, of any shape.
 
     The quintic is increasing and convex on y > 0, so Newton from y = 1
     decreases monotonically onto the root.  Each element stops at the first
     step shorter than _NEWTON_STEP_TOL, so its value does not depend on the
-    rest of the array (c = 0 gives step 0, so y = 1).  Live elements are
-    updated in place under a mask; the arrays shrink to the live ones only
-    once fewer than half of them are live.
+    rest of the array (c = 0 gives step 0, so y = 1).  The live elements are
+    updated in place under a mask until none is live.
     """
     y = np.ones_like(c)
-    idx = None  # positions in y of yl's entries once compacted
-    yl, cl, c3 = y, c, 3.0 * c
+    c3 = 3.0 * c
     on = np.ones(c.shape, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER):
         # step = g / dg, g = y^2 y (y^2 + c) - 1, dg = y^2 (5y y + 3c), each
         # grouped as written and built in place to spare temporaries.
-        y2 = yl * yl
-        step = y2 * yl
-        step *= y2 + cl
+        y2 = y * y
+        step = y2 * y
+        step *= y2 + c
         step -= 1.0
-        dg = 5.0 * yl
-        dg *= yl
+        dg = 5.0 * y
+        dg *= y
         dg += c3
         dg *= y2
         step /= dg
-        np.subtract(yl, step, out=yl, where=on)
+        np.subtract(y, step, out=y, where=on)
         on &= ~(np.abs(step) < _NEWTON_STEP_TOL)
-        n_on = np.count_nonzero(on)
-        if n_on == 0:
+        if not on.any():
             break
-        if 2 * n_on < on.size:
-            if idx is None:
-                idx = np.flatnonzero(on)
-            else:
-                y[idx] = yl
-                idx = idx[on]
-            yl, cl, c3 = y[idx], cl[on], c3[on]
-            on = np.ones(n_on, dtype=bool)
-    if idx is not None:
-        y[idx] = yl
     return y
 
 
@@ -136,12 +121,7 @@ def e_of_s(model: RestitutionModel, s):
         return np.full(s.shape, model.e0)
     if model.kind == POWER_LAW:
         return 1.0 / (1.0 + model.a * s)
-    flat = s.reshape(-1)
-    e = np.empty(flat.shape)
-    for lo in range(0, flat.size, _NEWTON_BLOCK):
-        e[lo:lo + _NEWTON_BLOCK] = _visco_newton(
-            model.a * flat[lo:lo + _NEWTON_BLOCK]) ** 5
-    return e.reshape(s.shape)
+    return _visco_newton(model.a * s) ** 5
 
 
 def eval_e(model: RestitutionModel, r):

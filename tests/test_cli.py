@@ -1,3 +1,4 @@
+import math
 import re
 from types import SimpleNamespace
 
@@ -113,8 +114,9 @@ def _valid_values():
         "restitution.lambda": unit,
         "init.kind": st.sampled_from(["maxwellian", "bimodal", "uniform_ball"]),
         "init.T0": floats(0.0, 1e300, exclude_min=True),
-        "init.v0": floats(0.0, 1e300, exclude_min=True),
-        "init.R": floats(0.0, 1e300, exclude_min=True),
+        # Speeds whose square neither rounds to 0 nor overflows.
+        "init.v0": floats(1e-160, 1e154),
+        "init.R": floats(1e-160, 1e154),
         "run.max_steps": st.integers(1, 10 ** 9),
         "run.window": st.integers(2, 10 ** 6),
         "run.tol": floats(0.0, 1e300, exclude_min=True),
@@ -223,6 +225,10 @@ def test_uniqueness_probe_derived_seed_out_of_range(runner, tmp_path,
     ("init.v0 = -1.5", "init.v0 must be finite and positive"),
     ("init.R = 0", "init.R must be finite and positive"),
     ("init.R = -2", "init.R must be finite and positive"),
+    ("init.v0 = 1e-200", "init.v0 must be finite and positive"),
+    ("init.v0 = 1e160", "init.v0 must be finite and positive"),
+    ("init.R = 1e-170", "init.R must be finite and positive"),
+    ("init.R = 1e160", "init.R must be finite and positive"),
     ("init.kind = nope", "init.kind must be one of"),
 ])
 def test_bad_initial_condition_is_config_error(runner, tmp_path, monkeypatch,
@@ -348,6 +354,31 @@ def test_sweep_lambda_single(runner, tmp_path):
     assert len(lines) == 3
     bad = runner.invoke(main, ["sweep-lambda", cfg, "-l", "1.7", "--out", out])
     assert bad.exit_code == 1
+
+
+def test_sweep_lambda_rate_fit_line(runner, tmp_path):
+    """Two lambdas print the fit of log d_moment against log lambda, whose
+    slope is the one through the two rows of the CSV."""
+    cfg = write(tmp_path, BASE_CONFIG
+                .replace("restitution.kind = constant",
+                         "restitution.kind = power_law\nrestitution.gamma = 0.2")
+                .replace("restitution.e0 = 1.0", "")
+                .replace("run.max_steps = 300", "run.max_steps = 200"))
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, ["sweep-lambda", cfg, "-l", "1.0", "-l", "0.5",
+                                  "--out", str(out)])
+    assert result.exit_code == 0
+    lines = out.read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[2:]]
+    assert [row["lambda"] for row in rows] == [1.0, 0.5]
+    slope = (math.log(rows[1]["d_moment"] / rows[0]["d_moment"])
+             / math.log(0.5))
+    fit = re.search(r"^d_moment rate fit: slope=(\S+) se=(\S+)$",
+                    result.output, flags=re.M)
+    assert fit is not None, result.output
+    assert float(fit.group(1)) == pytest.approx(slope, abs=1e-4)
+    assert float(fit.group(2)) == 0.0  # two points leave no residual
 
 
 def test_sweep_lambda_rejects_bad_lambda_before_running(runner, tmp_path,

@@ -5,12 +5,12 @@ import pytest
 
 from gsteady.dissipation import (PSI_BLOCK, DissipationSpec,
                                  dissipation_functional,
-                                 gaussian_pair_average,
-                                 maxwell_relative_speed_moment, psi_e,
+                                 gaussian_pair_average, psi_e,
                                  steady_temperature_ansatz, theta_limit,
                                  zeta_lambda, zeta_zero)
 from gsteady.errors import InputError
 from gsteady.kinematics import gauss_legendre
+from gsteady.observables import maxwell_moment
 from gsteady.restitution import (constant, e_of_s, elastic, eval_e, power_law,
                                  rescale, viscoelastic)
 
@@ -207,7 +207,8 @@ def test_relative_speed_moment_vs_mc(rng):
     v = rng.normal(0.0, np.sqrt(theta), size=(1_000_000, 3))
     w = rng.normal(0.0, np.sqrt(theta), size=(1_000_000, 3))
     mc = float(np.mean(np.linalg.norm(v - w, axis=1) ** q))
-    assert maxwell_relative_speed_moment(theta, q) == pytest.approx(mc, rel=0.01)
+    # V - V* is Gaussian at temperature 2 theta.
+    assert maxwell_moment(2.0 * theta, q / 2) == pytest.approx(mc, rel=0.01)
 
 
 def test_gaussian_pair_average_consistency():

@@ -82,10 +82,13 @@ def test_initial_conditions():
 
 
 @pytest.mark.parametrize("field, key", [("v0", "init.v0"), ("radius", "init.R")])
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf,
+                                   1e-200, 1e160])
 def test_initial_condition_rejects_non_positive_scale(field, key, value):
     """A bimodal start at v0 = 0 (or a ball of radius 0) would put every
-    particle at rest; a negative one is no start at all."""
+    particle at rest; a negative one is no start at all.  So would a v0 or R
+    whose square rounds to 0 (at mu = 0, simulate then ran to max_steps and
+    exited 2), and one whose square overflows starts at infinite energy."""
     message = f"{key} must be finite and positive"
     with pytest.raises(ConfigError, match=message):
         InitialCondition("bimodal", **{field: value})

@@ -40,6 +40,13 @@ def test_alpha_sandwich_and_edges():
     assert np.all(alpha <= 2.0 * s * (1.0 + 1e-12))
     assert maps.alpha_e(elastic(), 5.0) == pytest.approx(
         5.0, abs=1e-11)
+    # s = 0 and an exact root eta_e(s) = s return s itself, next to elements
+    # that bisect and past 2^1023, where s + s would overflow.
+    s = np.array([0.0, 1e-100, 1.0, 1.5e308])
+    np.testing.assert_array_equal(maps.alpha_e(elastic(), s), s)
+    np.testing.assert_array_equal(maps.alpha_e(model, s[:3]),
+                                  [0.0, 1e-100, maps.alpha_e(model, 1.0)])
+    assert maps.alpha_e(model, 1.0) > 1.0
 
 
 def test_eta_prime_bounds(models):

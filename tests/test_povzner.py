@@ -19,7 +19,8 @@ def test_case_constants():
     with pytest.raises(InputError):
         povzner.PovznerCase(0.5)
     with pytest.raises(InputError):
-        povzner.check_inequality([1.0, 0, 0], [0, 1.0, 0], 1.5, elastic())
+        povzner.check_inequality([1.0, 0, 0], [0, 1.0, 0], 1.5, elastic(),
+                                 QUAD)
 
 
 def test_p1_is_dissipation_bridge(models, rng):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsteady import verify
+from gsteady.dissipation import DissipationSpec
 from gsteady.errors import InputError
 from gsteady.restitution import (RestitutionModel, _visco_newton, beta,
                                  constant, eval_e, implicit_residual, log_grid,
@@ -37,7 +38,8 @@ def test_constant_beta():
 
 def test_visco_newton_does_not_depend_on_its_array():
     """Each element equals a lone call on it, whether it stops with most of
-    the array or is left among the few slow ones after the arrays shrink."""
+    the array or is left among the few slow ones, in a 1-d array and in a
+    (rows x 64 nodes) block shaped like psi_e's."""
     rng = np.random.default_rng(12)
     c = np.concatenate([[0.0, 1e-30, 1e3, 1e8], 10.0 ** rng.uniform(-8, 8, 200),
                         rng.uniform(0.0, 2.0, 200)])
@@ -45,6 +47,16 @@ def test_visco_newton_does_not_depend_on_its_array():
     y = _visco_newton(c)
     for i, ci in enumerate(c):
         assert y[i] == _visco_newton(np.array([ci]))[0], ci
+    model = viscoelastic(2.0)
+    spec = DissipationSpec(model)
+    r = np.concatenate([[0.0, 1e-20, 1e6], rng.exponential(2.0, size=37)])
+    s = np.sqrt(r) ** model.gamma
+    block = model.a * (s[:, None] * spec._z_gamma)
+    assert block.shape == (40, 64)
+    y = _visco_newton(block)
+    assert y.shape == block.shape
+    for idx, ci in np.ndenumerate(block):
+        assert y[idx] == _visco_newton(np.array([ci]))[0], ci
 
 
 def test_implicit_residual_tight():
