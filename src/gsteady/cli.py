@@ -21,7 +21,7 @@ from . import __version__
 from .config import build_setup, load_config, serialize_config
 from .dissipation import DissipationSpec, steady_temperature_ansatz, theta_limit
 from .dsmc import SERIES_COLUMNS, run_many, run_to_steady, save_snapshot
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .observables import maxwellian_distance
 from .restitution import rescale
 from .scaling import two_sample_z
@@ -61,6 +61,16 @@ def _load_setup(path):
         sys.exit(1)
 
 
+def _run(runner, *args):
+    """runner(*args); exit 1 on a configuration that cannot start a run,
+    such as an initial ensemble whose energy overflows."""
+    try:
+        return runner(*args)
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(1)
+
+
 @click.group()
 def main() -> None:
     """Particle-method simulator for thermally driven granular gases."""
@@ -73,7 +83,7 @@ def main() -> None:
 def simulate(config_path, out_prefix):
     """Run one configuration to steadiness and write CSV outputs."""
     values, setup = _load_setup(config_path)
-    ens, report = run_to_steady(setup.engine, setup.model, setup.init)
+    ens, report = _run(run_to_steady, setup.engine, setup.model, setup.init)
     manifest = _manifest_line(values)
     write_csv(f"{out_prefix}_series.csv", SERIES_COLUMNS, report.series, manifest)
     final_cols = ("temperature", "m1", "m3_2", "m2", "m3", "diss_estimate",
@@ -110,7 +120,7 @@ def sweep_lambda(config_path, lambdas, out):
             setup.init, t0=steady_temperature_ansatz(spec, lam))
         jobs.append((cfg, rescale(model, lam), init))
     rows = []
-    for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, run_many(jobs)):
+    for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, _run(run_many, jobs)):
         dist = maxwellian_distance(ens, theta)
         rows.append((lam, report.temperature, theta, dist.d_moment, dist.d_hist,
                      report.moments[3.0], report.tail_value, report.diss_estimate,
@@ -218,7 +228,7 @@ def uniqueness_probe(config_path, inits, seeds):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
     results = {}
-    runs = zip(jobs, run_many(jobs))
+    runs = zip(jobs, _run(run_many, jobs))
     for kind in inits:
         temps, m2s = [], []
         for (cfg, _, _), (_, report) in itertools.islice(runs, seeds):

@@ -7,12 +7,19 @@ direction) and a momentum recentering.  All randomness comes
 from counter-based Philox streams keyed by (seed, step, substream), so a
 run is bit-reproducible from its configuration alone.  Independent runs go
 through run_many, which spreads them over a fork process pool.
+
+The bath kick never depends on the velocities, only on (seed, step, N, its
+scale), so each step draws the next step's kick on a second thread while it
+runs its collision sweep (_bath_kick).  A prefetched kick is used only by a
+step whose key matches, and it holds the same numbers as an inline draw, so
+prefetching changes no trajectory bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +54,73 @@ _SNAPSHOT_FLOATS = ("t", "bath_energy", "collision_loss", "recenter_energy",
 def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
     """Counter-based generator for one (step, substream) slot."""
     return np.random.Generator(np.random.Philox(key=[seed, (step << 2) | substream]))
+
+
+# Kicks of fewer normals are drawn inline: starting and joining a thread
+# costs about 50 us, more than the overlap saves on a small draw.
+_PREFETCH_MIN = 1 << 15
+
+# The one pending prefetched kick, {key: (thread, buffer)}.  A kick is a pure
+# function of its key, so a hit is correct for any caller: two ensembles, a
+# resumed snapshot or a retried step need no bookkeeping.
+_pending: dict = {}
+
+
+def _draw_kick(key, out) -> None:
+    """Fill `out` with the bath kick of key (seed, step, shape, scale),
+    bit for bit as `normal(0.0, scale, size=shape)` on the step's bath
+    stream, which computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
+    seed, step, _, scale = key
+    _stream(seed, step, _STREAM_BATH).standard_normal(out=out)
+    out *= scale
+    out += 0.0
+
+
+def _prefetch(key) -> None:
+    # The caller allocates the buffer: a worker that allocates grows the
+    # peak RSS by more than the one array (glibc gives threads own arenas).
+    # Non-daemon, so interpreter exit never stops it inside numpy's fill.
+    out = np.empty(key[2])
+    thread = threading.Thread(target=_draw_kick, args=(key, out),
+                              name="gsteady-bath-kick")
+    thread.start()
+    _pending[key] = (thread, out)
+
+
+def _join_pending() -> None:
+    for thread, _ in list(_pending.values()):
+        thread.join()
+
+
+def _drop_pending() -> None:
+    _join_pending()
+    _pending.clear()
+
+
+# A fork while a draw runs would leave the child a half-filled buffer and no
+# thread to finish it; joined first, the draw is valid in both processes.
+os.register_at_fork(before=_join_pending)
+
+
+def _bath_kick(seed: int, step: int, shape: tuple, scale: float) -> np.ndarray:
+    """The bath kick of this step, as a new array the caller owns.
+
+    Takes the pending prefetch if its key is this one (dict.pop is atomic,
+    so no two callers get one buffer) and draws inline otherwise, then, for
+    a kick of at least _PREFETCH_MIN normals, starts drawing step + 1's.
+    """
+    key = (seed, step, shape, scale)
+    hit = _pending.pop(key, None)
+    if hit is None:
+        _drop_pending()
+        kick = np.empty(shape)
+        _draw_kick(key, kick)
+    else:
+        thread, kick = hit
+        thread.join()
+    if kick.size >= _PREFETCH_MIN:
+        _prefetch((seed, step + 1, shape, scale))
+    return kick
 
 
 @dataclass
@@ -171,9 +245,20 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
     vel -= vel.mean(axis=0)
     if init.kind == "maxwellian":
         # Pin the empirical temperature exactly at t0.
-        m1 = float(np.mean(np.einsum("ij,ij->i", vel, vel)))
-        vel *= math.sqrt(3.0 * init.t0 / m1)
-    return Ensemble(velocities=np.ascontiguousarray(vel, dtype=np.float64))
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            m1 = float(np.mean(np.einsum("ij,ij->i", vel, vel)))
+        if m1 > 0.0:  # 0 only if every square underflows: rejected below
+            vel *= math.sqrt(3.0 * init.t0 / m1)
+    ens = Ensemble(velocities=np.ascontiguousarray(vel, dtype=np.float64))
+    # Each scale passed its own check, but N particles can still sum to an
+    # energy that overflows, or underflows to 0.
+    energy = ens.energy()
+    if not 0.0 < energy < math.inf:
+        key, value = {"maxwellian": ("T0", init.t0), "bimodal": ("v0", init.v0),
+                      "uniform_ball": ("R", init.radius)}[init.kind]
+        raise ConfigError(f"init.{key} = {value!r} gives N={n} particles the "
+                          f"energy {energy!r}; it must lie above 0 and below inf")
+    return ens
 
 
 def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemble:
@@ -183,15 +268,20 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     last check: `ens.velocities` is replaced by that array and the counters
     move.  A step that raises leaves the ensemble and its energy ledger as
     they were.
+
+    At N >= _PREFETCH_MIN / 3 the step starts drawing the bath kick of step
+    `ens.step_count + 1` on a second thread, to be taken by the next step
+    with the same (seed, step, N, scale) key.  That kick is a pure function
+    of its key and is drawn exactly as an inline one, so runs stay
+    bit-reproducible; a step holds one extra velocity array while it runs.
     """
     n = ens.n
     dt = config.dt
 
     bath = 0.0
     if config.mu > 0.0:
-        rng = _stream(config.seed, ens.step_count, _STREAM_BATH)
-        vel = rng.normal(0.0, math.sqrt(2.0 * config.mu * dt),
-                         size=ens.velocities.shape)
+        vel = _bath_kick(config.seed, ens.step_count, ens.velocities.shape,
+                         math.sqrt(2.0 * config.mu * dt))
         vel += ens.velocities
         bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
     else:
@@ -221,7 +311,9 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
             f"per-particle collision probability per step "
             f"{ema:.3f} exceeds 0.2; reduce dt")
 
-    mean = vel.mean(axis=0)
+    # vel.mean(axis=0) bit for bit: both add the rows in order, but the
+    # reduce runs an inner loop of length 3.
+    mean = np.einsum("ij->j", vel) / n
     vel -= mean
 
     ens.velocities = vel
@@ -294,6 +386,12 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
     return ens, report
 
 
+def _draw_kicks_inline() -> None:
+    """Pool-worker initializer: no kick is large enough to prefetch."""
+    global _PREFETCH_MIN
+    _PREFETCH_MIN = math.inf
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -308,10 +406,13 @@ def run_many(jobs) -> list:
     most one per job), or in this process when that is one worker or the
     platform cannot fork.  Each run depends only on its job, so the results
     are bit-identical for any worker count; a worker's exception reaches the
-    caller with its original type.
+    caller with its original type.  When the pool has a worker on every
+    core, the workers draw their bath kicks inline: a prefetch thread would
+    find no idle core.
     """
     jobs = list(jobs)
-    workers = min(_usable_cores(), len(jobs))
+    cores = _usable_cores()
+    workers = min(cores, len(jobs))
     if workers > 1:
         # Imported here: these modules add about 0.6 MB to a process, and
         # most processes (simulate, verify) never start a pool.
@@ -319,7 +420,9 @@ def run_many(jobs) -> list:
         from concurrent.futures import ProcessPoolExecutor
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+            inline = _draw_kicks_inline if workers == cores else None
+            with ProcessPoolExecutor(workers, mp_context=fork,
+                                     initializer=inline) as pool:
                 return list(pool.map(run_to_steady, *zip(*jobs)))
     return [run_to_steady(*job) for job in jobs]
 

@@ -259,6 +259,39 @@ def test_bad_initial_condition_is_config_error(runner, tmp_path, monkeypatch,
     assert runs == []
 
 
+@pytest.mark.parametrize("kind, line, message", [
+    ("bimodal", "init.v0 = 1e154", "init.v0 = 1e+154"),
+    ("uniform_ball", "init.R = 1e154", "init.R = 1e+154"),
+    ("maxwellian", "init.T0 = 1e306", "init.T0 = 1e+306"),
+])
+def test_ensemble_energy_overflow_is_config_error(runner, tmp_path, kind,
+                                                   line, message):
+    """Each scale passes its own check, but N = 400 particles sum to an
+    energy that overflows (or, for the Maxwellian, is rescaled to 0): exit 1
+    with one line, from simulate and from the commands that run replicas."""
+    text = (BASE_CONFIG
+            .replace("restitution.kind = constant\nrestitution.e0 = 1.0",
+                     "restitution.kind = power_law\nrestitution.gamma = 0.2")
+            .replace("init.kind = maxwellian\ninit.T0 = 0.5",
+                     f"init.kind = {kind}\n{line}"))
+    cfg = write(tmp_path, text)
+    other = "bimodal" if kind == "maxwellian" else "maxwellian"
+    calls = [["simulate", cfg, "--out-prefix", str(tmp_path / "x")],
+             ["uniqueness-probe", cfg, "--seeds", "2", "--init", kind,
+              "--init", other]]
+    if kind != "maxwellian":  # sweep-lambda sets T0 from the closure
+        calls.append(["sweep-lambda", cfg, "-l", "0.5", "-l", "0.2",
+                      "--out", str(tmp_path / "sweep.csv")])
+    for args in calls:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, (args, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(
+            f"config error: {message} gives N=400 particles the energy")
+    assert list(tmp_path.glob("x_*")) == []
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_simulate_elastic_reaches_t0(runner, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"

@@ -2,6 +2,10 @@ import copy
 import dataclasses
 import math
 import os
+import re
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +104,22 @@ def test_initial_condition_rejects_non_positive_scale(field, key, value):
             build_setup(parse_config_text(text + f"{key} = {value}\n"))
 
 
+@pytest.mark.parametrize("init, key", [
+    (InitialCondition("bimodal", v0=1e154), "init.v0 = 1e+154"),
+    (InitialCondition("uniform_ball", radius=1e154), "init.R = 1e+154"),
+    (InitialCondition("maxwellian", t0=1e306), "init.T0 = 1e+306"),
+])
+def test_initial_ensemble_energy_must_be_finite(init, key):
+    """Each scale passes its own check, but 400 particles sum to an energy
+    that overflows; the Maxwellian start then rescaled every velocity to 0.
+    Either is a ConfigError naming the key, with no numpy warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{key} gives N=400 particles the energy")):
+            initial_ensemble(small_config(), init)
+
+
 def test_bath_only_energy_growth():
     """With elastic collisions, which lose no energy, the mean-square speed
     grows at the bath rate 6 mu."""
@@ -136,6 +156,18 @@ def test_recentering_pins_momentum():
         rms = math.sqrt(ens.energy() / cfg.n)
         assert np.max(np.abs(ens.velocities.mean(axis=0))) < 1e-12 * rms
     assert np.all(np.isfinite(ens.velocities))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 200_000), log_scale=st.floats(-5.0, 5.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_recentering_mean_is_numpy_mean(n, log_scale, seed):
+    """The step's recentering mean, einsum("ij->j") / n, equals
+    vel.mean(axis=0) bit for bit: both add the rows in order."""
+    rng = np.random.default_rng(seed)
+    vel = rng.normal(size=(n, 3)) * 10.0 ** log_scale + rng.normal(size=3)
+    np.testing.assert_array_equal(np.einsum("ij->j", vel) / n,
+                                  vel.mean(axis=0))
 
 
 def test_determinism_bitwise():
@@ -446,3 +478,165 @@ def test_run_many_reraises_worker_error(monkeypatch):
            InitialCondition("maxwellian", t0=4.0))
     with pytest.raises(TimeStepError):
         run_many([_jobs()[0], bad])
+
+
+# The smallest N whose bath kick is prefetched on a second thread.
+N_PREFETCH = dsmc._PREFETCH_MIN // 3 + 1
+
+
+def _prefetch_config(**kw):
+    base = dict(n=N_PREFETCH, dt=0.01, mu=0.3, seed=21)
+    base.update(kw)
+    return EngineConfig(**base)
+
+
+def _kick_key(ens, cfg):
+    return (cfg.seed, ens.step_count, ens.velocities.shape,
+            math.sqrt(2.0 * cfg.mu * cfg.dt))
+
+
+def _stepped(cfg, model, init, steps, before_step=None):
+    ens = initial_ensemble(cfg, init)
+    for _ in range(steps):
+        if before_step is not None:
+            before_step(ens)
+        step(ens, cfg, model)
+    return ens
+
+
+def _assert_same_state(got, want):
+    np.testing.assert_array_equal(got.velocities, want.velocities)
+    assert _ledger_state(got)[1:] == _ledger_state(want)[1:]
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 0.37, 1e300])
+def test_kick_draw_is_normal_bit_for_bit(scale):
+    """_draw_kick fills a buffer with exactly normal(0.0, scale), the sign
+    of every zero included (numpy computes 0.0 + scale * z)."""
+    key = (31, 5, (1000, 3), scale)
+    out = np.empty(key[2])
+    dsmc._draw_kick(key, out)
+    want = dsmc._stream(31, 5, dsmc._STREAM_BATH).normal(0.0, scale,
+                                                         size=key[2])
+    np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_prefetch_dropped_equals_ordinary():
+    """Above the threshold each step leaves step + 1's kick pending and the
+    next step takes it; dropping it before every step (every kick drawn
+    inline) changes no bit of the velocities or the ledger."""
+    cfg = _prefetch_config()
+    model = rescale(power_law(1.0, 0.2), 0.1)
+    init = InitialCondition("maxwellian", t0=1.5)
+
+    def expect_hit(ens):
+        if ens.step_count > 0:
+            assert list(dsmc._pending) == [_kick_key(ens, cfg)]
+
+    ordinary = _stepped(cfg, model, init, 8, expect_hit)
+    inline = _stepped(cfg, model, init, 8, lambda ens: dsmc._drop_pending())
+    dsmc._drop_pending()
+    _assert_same_state(ordinary, inline)
+    assert ordinary.bath_energy != 0.0
+
+
+def test_prefetch_two_ensembles_interleaved():
+    """Two ensembles with one seed and shape, stepped alternately, share the
+    one slot; each ends as it would alone."""
+    cfg = _prefetch_config(seed=22)
+    model = constant(0.6)
+    inits = (InitialCondition("maxwellian", t0=1.0),
+             InitialCondition("bimodal", v0=1.3))
+    alone = [_stepped(cfg, model, init, 6) for init in inits]
+    pair = [initial_ensemble(cfg, init) for init in inits]
+    for _ in range(6):
+        for ens in pair:
+            step(ens, cfg, model)
+    dsmc._drop_pending()
+    for got, want in zip(pair, alone):
+        _assert_same_state(got, want)
+
+
+def test_prefetch_retried_step_equals_clean_run(monkeypatch):
+    """A step that raises after taking its kick leaves step + 1's kick
+    pending; the retried step must draw its own kick, not take that one."""
+    cfg = _prefetch_config(seed=4, mu=0.05)
+    model = constant(0.5)
+    init = InitialCondition("maxwellian", t0=1.0)
+    clean = _stepped(cfg, model, init, 4)
+    ens = initial_ensemble(cfg, init)
+    step(ens, cfg, model)
+    with monkeypatch.context() as patch:
+        patch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
+        with pytest.raises(MajorantViolation):
+            step(ens, cfg, model)
+    assert ens.step_count == 1
+    assert list(dsmc._pending) == [(cfg.seed, 2) + _kick_key(ens, cfg)[2:]]
+    for _ in range(3):
+        step(ens, cfg, model)
+    dsmc._drop_pending()
+    _assert_same_state(ens, clean)
+
+
+def test_run_many_while_prefetch_pending(monkeypatch):
+    """A fork waits for the pending draw, so forked workers that take it get
+    the finished kick: run_many equals the in-process runs while a slow
+    prefetch of step 0 is still running in the parent."""
+    cfg = _prefetch_config(seed=23, max_steps=10, window=2, sample_every=5,
+                           diss_pairs=2000)
+    jobs = [(cfg, power_law(1.0, 0.2), InitialCondition("maxwellian", t0=1.0)),
+            (cfg, constant(0.7), InitialCondition("bimodal", v0=1.5))]
+    serial = [run_to_steady(*job) for job in jobs]
+    dsmc._drop_pending()
+    draw = dsmc._draw_kick
+
+    def slow_draw(key, out):
+        if key[1] == 0:
+            time.sleep(0.3)
+        draw(key, out)
+
+    monkeypatch.setattr(dsmc, "_draw_kick", slow_draw)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    dsmc._prefetch((cfg.seed, 0, (cfg.n, 3), math.sqrt(2.0 * cfg.mu * cfg.dt)))
+    got = run_many(jobs)
+    dsmc._drop_pending()
+    _assert_runs_equal(got, serial)
+
+
+def _prefetch_min_of_worker(*job):
+    return dsmc._PREFETCH_MIN
+
+
+@pytest.mark.parametrize("cores, inline", [(2, True), (3, False)])
+def test_full_pool_draws_kicks_inline(monkeypatch, cores, inline):
+    """A pool with a worker on every core leaves no core for a prefetch
+    thread, so its workers draw every kick inline; a pool with a free core
+    keeps the prefetch.  The parent process keeps it either way."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(dsmc, "run_to_steady", _prefetch_min_of_worker)
+    want = math.inf if inline else dsmc._PREFETCH_MIN
+    assert run_many(_jobs()[:2]) == [want, want]
+    assert dsmc._PREFETCH_MIN == 1 << 15
+
+
+def test_no_prefetch_below_threshold(monkeypatch):
+    """Below _PREFETCH_MIN normals every kick is drawn inline, with no
+    thread started; at the threshold each step starts one."""
+    started = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    dsmc._drop_pending()
+    monkeypatch.setattr(dsmc.threading, "Thread", SpyThread)
+    model = constant(0.6)
+    init = InitialCondition("maxwellian", t0=1.0)
+    _stepped(_prefetch_config(n=N_PREFETCH - 1), model, init, 3)
+    assert started == [] and dsmc._pending == {}
+    _stepped(_prefetch_config(), model, init, 3)
+    dsmc._drop_pending()
+    assert started == ["gsteady-bath-kick"] * 3
