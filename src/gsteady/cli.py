@@ -7,6 +7,7 @@ outputs can be traced back to their exact configuration.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -20,8 +21,9 @@ import numpy as np
 from . import __version__
 from .config import build_setup, load_config, serialize_config
 from .dissipation import DissipationSpec, steady_temperature_ansatz, theta_limit
-from .dsmc import SERIES_COLUMNS, run_many, run_to_steady, save_snapshot
-from .errors import ConfigError, InputError
+from .dsmc import (SERIES_COLUMNS, initial_ensemble, run_many, run_to_steady,
+                   save_snapshot)
+from .errors import InputError
 from .observables import maxwellian_distance
 from .restitution import rescale
 from .scaling import two_sample_z
@@ -51,24 +53,30 @@ def write_csv(path, columns, rows, manifest: str) -> None:
         writer.writerows(rows)
 
 
-def _load_setup(path):
-    """(config values, RunSetup) of a config file; exit 1 on a bad config."""
+@contextlib.contextmanager
+def _config_errors():
+    """Turn an InputError into one `config error:` line and exit 1."""
     try:
-        values = load_config(path)
-        return values, build_setup(values)
+        yield
     except InputError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(1)
 
 
-def _run(runner, *args):
-    """runner(*args); exit 1 on a configuration that cannot start a run,
-    such as an initial ensemble whose energy overflows."""
-    try:
-        return runner(*args)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+def _load_setup(path):
+    """(config values, RunSetup) of a config file; exit 1 on a bad config."""
+    with _config_errors():
+        values = load_config(path)
+        return values, build_setup(values)
+
+
+def _check_starts(jobs) -> None:
+    """Build and drop each job's initial ensemble, so that a job no run can
+    start from (its energy overflows, say) exits 1 before run_many's pool
+    runs the other jobs to steadiness."""
+    with _config_errors():
+        for cfg, _, init in jobs:
+            initial_ensemble(cfg, init)
 
 
 @click.group()
@@ -83,7 +91,8 @@ def main() -> None:
 def simulate(config_path, out_prefix):
     """Run one configuration to steadiness and write CSV outputs."""
     values, setup = _load_setup(config_path)
-    ens, report = _run(run_to_steady, setup.engine, setup.model, setup.init)
+    with _config_errors():  # an initial ensemble whose energy overflows
+        ens, report = run_to_steady(setup.engine, setup.model, setup.init)
     manifest = _manifest_line(values)
     write_csv(f"{out_prefix}_series.csv", SERIES_COLUMNS, report.series, manifest)
     final_cols = ("temperature", "m1", "m3_2", "m2", "m3", "diss_estimate",
@@ -119,8 +128,9 @@ def sweep_lambda(config_path, lambdas, out):
         init = dataclasses.replace(
             setup.init, t0=steady_temperature_ansatz(spec, lam))
         jobs.append((cfg, rescale(model, lam), init))
+    _check_starts(jobs)
     rows = []
-    for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, _run(run_many, jobs)):
+    for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, run_many(jobs)):
         dist = maxwellian_distance(ens, theta)
         rows.append((lam, report.temperature, theta, dist.d_moment, dist.d_hist,
                      report.moments[3.0], report.tail_value, report.diss_estimate,
@@ -219,16 +229,16 @@ def uniqueness_probe(config_path, inits, seeds):
     if seeds < 2:
         click.echo("need at least two seeds per initial condition", err=True)
         sys.exit(1)
-    try:  # distinct seeds, so that the samples compared are independent
+    # Distinct seeds, so that the samples compared are independent; a
+    # derived seed outside [0, 2^63) is a config error.
+    with _config_errors():
         jobs = [(dataclasses.replace(setup.engine,
                                      seed=setup.engine.seed + i * seeds + k),
                  setup.model, dataclasses.replace(setup.init, kind=kind))
                 for i, kind in enumerate(inits) for k in range(seeds)]
-    except InputError as exc:  # a derived seed outside [0, 2^63)
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
+    _check_starts(jobs)
     results = {}
-    runs = zip(jobs, _run(run_many, jobs))
+    runs = zip(jobs, run_many(jobs))
     for kind in inits:
         temps, m2s = [], []
         for (cfg, _, _), (_, report) in itertools.islice(runs, seeds):

@@ -264,11 +264,15 @@ def test_bad_initial_condition_is_config_error(runner, tmp_path, monkeypatch,
     ("uniform_ball", "init.R = 1e154", "init.R = 1e+154"),
     ("maxwellian", "init.T0 = 1e306", "init.T0 = 1e+306"),
 ])
-def test_ensemble_energy_overflow_is_config_error(runner, tmp_path, kind,
-                                                   line, message):
+def test_ensemble_energy_overflow_is_config_error(runner, tmp_path,
+                                                   monkeypatch, kind, line,
+                                                   message):
     """Each scale passes its own check, but N = 400 particles sum to an
     energy that overflows (or, for the Maxwellian, is rescaled to 0): exit 1
-    with one line, from simulate and from the commands that run replicas."""
+    with one line, from simulate and from the commands that run replicas,
+    which stop before run_many starts any run."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
     text = (BASE_CONFIG
             .replace("restitution.kind = constant\nrestitution.e0 = 1.0",
                      "restitution.kind = power_law\nrestitution.gamma = 0.2")
@@ -277,8 +281,8 @@ def test_ensemble_energy_overflow_is_config_error(runner, tmp_path, kind,
     cfg = write(tmp_path, text)
     other = "bimodal" if kind == "maxwellian" else "maxwellian"
     calls = [["simulate", cfg, "--out-prefix", str(tmp_path / "x")],
-             ["uniqueness-probe", cfg, "--seeds", "2", "--init", kind,
-              "--init", other]]
+             ["uniqueness-probe", cfg, "--seeds", "2", "--init", other,
+              "--init", kind]]
     if kind != "maxwellian":  # sweep-lambda sets T0 from the closure
         calls.append(["sweep-lambda", cfg, "-l", "0.5", "-l", "0.2",
                       "--out", str(tmp_path / "sweep.csv")])
@@ -288,6 +292,7 @@ def test_ensemble_energy_overflow_is_config_error(runner, tmp_path, kind,
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(
             f"config error: {message} gives N=400 particles the energy")
+    assert runs == []
     assert list(tmp_path.glob("x_*")) == []
     assert not (tmp_path / "sweep.csv").exists()
 

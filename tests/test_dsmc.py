@@ -608,16 +608,14 @@ def _prefetch_min_of_worker(*job):
     return dsmc._PREFETCH_MIN
 
 
-@pytest.mark.parametrize("cores, inline", [(2, True), (3, False)])
-def test_full_pool_draws_kicks_inline(monkeypatch, cores, inline):
-    """A pool with a worker on every core leaves no core for a prefetch
-    thread, so its workers draw every kick inline; a pool with a free core
-    keeps the prefetch.  The parent process keeps it either way."""
+@pytest.mark.parametrize("cores", [2, 3])
+def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
+    """run_many's pool workers draw every kick inline, whether or not the
+    pool leaves a core free; the parent process keeps the prefetch."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(dsmc, "run_to_steady", _prefetch_min_of_worker)
-    want = math.inf if inline else dsmc._PREFETCH_MIN
-    assert run_many(_jobs()[:2]) == [want, want]
+    assert run_many(_jobs()[:2]) == [math.inf, math.inf]
     assert dsmc._PREFETCH_MIN == 1 << 15
 
 
