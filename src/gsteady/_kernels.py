@@ -56,7 +56,10 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
     """Thin candidate pairs and apply accepted collisions in candidate order.
 
     normals holds each candidate's raw scattering normal; only the accepted
-    rows are normalised.  vmax must be max|v| over vel.
+    rows are normalised.  It is an (m, 3) array, or a zero-argument callable
+    that returns one, called once before the first accepted collision (so
+    the draw can still run while the sweep filters candidates and finds its
+    rounds).  vmax must be max|v| over vel.
 
     Each round takes every pending candidate whose previous candidates on i
     and on j are both done.  Candidates of one round touch disjoint
@@ -113,6 +116,8 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
             if not hit.any():
                 continue
             ks = ks[hit]
+            if callable(normals):
+                normals = normals()
             raw = normals.take(ks, axis=0)
             sigma = raw / np.maximum(
                 np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)

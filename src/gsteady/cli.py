@@ -123,11 +123,12 @@ def sweep_lambda(config_path, lambdas, out):
     theta = theta_limit(model.a, model.gamma).theta
     spec = DissipationSpec(model)
     jobs = []
-    for lam in lambdas:
-        cfg = dataclasses.replace(setup.engine, mu=lam ** model.gamma)
-        init = dataclasses.replace(
-            setup.init, t0=steady_temperature_ansatz(spec, lam))
-        jobs.append((cfg, rescale(model, lam), init))
+    with _config_errors():  # a law with no steady temperature, as e0 = 1
+        for lam in lambdas:
+            cfg = dataclasses.replace(setup.engine, mu=lam ** model.gamma)
+            init = dataclasses.replace(
+                setup.init, t0=steady_temperature_ansatz(spec, lam))
+            jobs.append((cfg, rescale(model, lam), init))
     _check_starts(jobs)
     rows = []
     for lam, (cfg, _, _), (ens, report) in zip(lambdas, jobs, run_many(jobs)):

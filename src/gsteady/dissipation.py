@@ -11,12 +11,14 @@ which fixes the temperature of the quasi-elastic limit Maxwellian.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
+from . import _helper
 from .errors import InputError
 from .kinematics import gauss_laguerre, gauss_legendre
 from .observables import maxwell_moment
@@ -26,7 +28,12 @@ from .restitution import RestitutionModel, e_of_s
 # viscoelastic law on a whole (rows x 64 nodes) block at once, and its Newton
 # temporaries should stay cache-sized: on a 2-core x86_64 host one solve of
 # 16,384 elements took 0.42 ms and one of 65,536 took 2.55 ms, about 1.5x
-# slower per element.
+# slower per element.  From two blocks and _helper.MIN_SIZE law evaluations
+# (rows x 64 nodes) on, psi_e splits its blocks at a block boundary, and the
+# helper thread evaluates the second half while the caller does the first.
+# Larger blocks made a split call faster on its own but slowed the runs
+# around it on the same host: at 1024 rows the benchmark's `replicas` wall
+# time rose 13 % and `visco_diag`'s peak RSS 11 %.
 PSI_BLOCK = 256
 
 
@@ -47,6 +54,18 @@ class DissipationSpec:
         object.__setattr__(self, "_z3w", z ** 3 * (0.5 * w))
 
 
+def _psi_blocks(spec: DissipationSpec, flat, out, start: int, stop: int):
+    """psi_e of flat[start:stop] into out, PSI_BLOCK rows at a time; start
+    is a multiple of PSI_BLOCK."""
+    model = spec.model
+    for lo in range(start, stop, PSI_BLOCK):
+        blk = flat[lo:min(lo + PSI_BLOCK, stop)]
+        s = (model.lambda_scale * np.sqrt(blk)) ** model.gamma
+        e = e_of_s(model, s[:, None] * spec._z_gamma)
+        out[lo:lo + blk.size] = 0.5 * blk ** 1.5 * np.sum(
+            (1.0 - e * e) * spec._z3w, axis=-1)
+
+
 def psi_e(spec: DissipationSpec, r):
     """Energy dissipation potential at squared relative speed r.
 
@@ -56,15 +75,17 @@ def psi_e(spec: DissipationSpec, r):
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise InputError("psi_e argument must be finite and non-negative")
-    model = spec.model
     flat = arr.reshape(-1)
     out = np.empty_like(flat)
-    for start in range(0, flat.size, PSI_BLOCK):
-        blk = flat[start:start + PSI_BLOCK]
-        s = (model.lambda_scale * np.sqrt(blk)) ** model.gamma
-        e = e_of_s(model, s[:, None] * spec._z_gamma)
-        out[start:start + PSI_BLOCK] = 0.5 * blk ** 1.5 * np.sum(
-            (1.0 - e * e) * spec._z3w, axis=-1)
+    blocks = -(-flat.size // PSI_BLOCK)
+    if blocks >= 2 and flat.size * spec._z3w.size >= _helper.MIN_SIZE:
+        mid = blocks // 2 * PSI_BLOCK
+        half = _helper.Helper("gsteady-psi-half", functools.partial(
+            _psi_blocks, spec, flat, out, mid, flat.size))
+        _psi_blocks(spec, flat, out, 0, mid)
+        half.wait()
+    else:
+        _psi_blocks(spec, flat, out, 0, flat.size)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -159,9 +180,17 @@ def steady_temperature_ansatz(spec: DissipationSpec, lam: float) -> float:
 
     Solves 6 = E_T[zeta_lambda(|V - V*|^2)] for the temperature T of a
     Maxwellian ansatz, bracketed in [1e-3, 1e3]; tends to the theta_limit
-    oracle as lam -> 0.
+    oracle as lam -> 0.  Raises InputError when the balance has one sign at
+    both ends of the bracket, as for an elastic law, which dissipates
+    nothing and so has no steady temperature.
     """
     def balance(t):
         return gaussian_pair_average(lambda r2: zeta_lambda(spec, lam, r2), t) - 6.0
 
-    return float(brentq(balance, 1e-3, 1e3, xtol=1e-12, rtol=1e-12))
+    try:
+        return float(brentq(balance, 1e-3, 1e3, xtol=1e-12, rtol=1e-12))
+    except ValueError:
+        if np.sign(balance(1e-3)) != np.sign(balance(1e3)):
+            raise
+    raise InputError(f"no steady temperature in [1e-3, 1e3] at lambda={lam!r}: "
+                     "the bath input and the collision loss do not balance there")

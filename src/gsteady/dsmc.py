@@ -8,23 +8,26 @@ from counter-based Philox streams keyed by (seed, step, substream), so a
 run is bit-reproducible from its configuration alone.  Independent runs go
 through run_many, which spreads them over a fork process pool.
 
-The bath kick never depends on the velocities, only on (seed, step, N, its
-scale), so each step draws the next step's kick on a second thread while it
-runs its collision sweep (_bath_kick).  A prefetched kick is used only by a
-step whose key matches, and it holds the same numbers as an inline draw, so
-prefetching changes no trajectory bit.
+Two draws of each step depend on no velocity: the (m, 3) scattering
+normals, drawn last from the collision stream, and the next step's bath
+kick, a function of (seed, step, N, its scale) alone.  Once the step has
+drawn the candidates' pairs and accept variates, it hands both draws to one
+helper thread (`_draw_ahead`) and runs its collision sweep meanwhile; the
+sweep waits for the normals only before its first accepted collision, and
+the next step takes the kick if its key matches.  Both draws hold the same
+numbers as inline ones, so the helper changes no trajectory bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _helper, _kernels
 from .dissipation import DissipationSpec, dissipation_functional, psi_e
 from .errors import ConfigError, InputError, TimeStepError
 from .observables import DEFAULT_P_SET, default_tail_rate, moments, tail_integral
@@ -56,71 +59,83 @@ def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (step << 2) | substream]))
 
 
-# Kicks of fewer normals are drawn inline: starting and joining a thread
-# costs about 50 us, more than the overlap saves on a small draw.
-_PREFETCH_MIN = 1 << 15
-
-# The one pending prefetched kick, {key: (thread, buffer)}.  A kick is a pure
+# The one pending prefetched kick, {key: (helper, buffer)}.  A kick is a pure
 # function of its key, so a hit is correct for any caller: two ensembles, a
 # resumed snapshot or a retried step need no bookkeeping.
 _pending: dict = {}
 
 
-def _draw_kick(key, out) -> None:
-    """Fill `out` with the bath kick of key (seed, step, shape, scale),
-    bit for bit as `normal(0.0, scale, size=shape)` on the step's bath
-    stream, which computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
-    seed, step, _, scale = key
-    _stream(seed, step, _STREAM_BATH).standard_normal(out=out)
-    out *= scale
+def _draw_normals(rng, out, scale: float = 1.0) -> None:
+    """Fill `out` bit for bit as `rng.normal(0.0, scale, size=out.shape)`,
+    which computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
+    rng.standard_normal(out=out)
+    if scale != 1.0:
+        out *= scale
     out += 0.0
 
 
-def _prefetch(key) -> None:
-    # The caller allocates the buffer: a worker that allocates grows the
-    # peak RSS by more than the one array (glibc gives threads own arenas).
-    # Non-daemon, so interpreter exit never stops it inside numpy's fill.
-    out = np.empty(key[2])
-    thread = threading.Thread(target=_draw_kick, args=(key, out),
-                              name="gsteady-bath-kick")
-    thread.start()
-    _pending[key] = (thread, out)
-
-
-def _join_pending() -> None:
-    for thread, _ in list(_pending.values()):
-        thread.join()
+def _draw_kick(key, out) -> None:
+    """Fill `out` with the bath kick of key (seed, step, shape, scale), the
+    normals of the step's bath stream times scale."""
+    seed, step, _, scale = key
+    _draw_normals(_stream(seed, step, _STREAM_BATH), out, scale)
 
 
 def _drop_pending() -> None:
-    _join_pending()
+    _helper.join()
     _pending.clear()
 
 
-# A fork while a draw runs would leave the child a half-filled buffer and no
-# thread to finish it; joined first, the draw is valid in both processes.
-os.register_at_fork(before=_join_pending)
-
-
-def _bath_kick(seed: int, step: int, shape: tuple, scale: float) -> np.ndarray:
-    """The bath kick of this step, as a new array the caller owns.
-
-    Takes the pending prefetch if its key is this one (dict.pop is atomic,
-    so no two callers get one buffer) and draws inline otherwise, then, for
-    a kick of at least _PREFETCH_MIN normals, starts drawing step + 1's.
-    """
-    key = (seed, step, shape, scale)
+def _bath_kick(key) -> np.ndarray:
+    """The bath kick of key (seed, step, shape, scale), as a new array the
+    caller owns: the pending one if its key is this one (dict.pop is atomic,
+    so no two callers get one buffer), otherwise drawn inline."""
     hit = _pending.pop(key, None)
     if hit is None:
         _drop_pending()
-        kick = np.empty(shape)
+        kick = np.empty(key[2])
         _draw_kick(key, kick)
     else:
-        thread, kick = hit
-        thread.join()
-    if kick.size >= _PREFETCH_MIN:
-        _prefetch((seed, step + 1, shape, scale))
+        helper, kick = hit
+        helper.wait()
     return kick
+
+
+def _draw_ahead(next_kick, rng=None, m: int = 0):
+    """Start the draws that no velocity decides on the helper thread.
+
+    The helper takes, in this order, each of these draws that reaches
+    `_helper.MIN_SIZE` elements: the step's (m, 3) scattering normals from
+    rng, the collision stream, which the caller must not touch again; then
+    the bath kick of key next_kick (None for no kick), into the pending
+    slot.  A smaller normal draw is made inline, a smaller kick by the step
+    that needs it.  The buffers are allocated here: a thread that allocates
+    grows the peak RSS by more than the array (glibc gives threads their own
+    arenas).  Returns the normals, as an array, or as a callable that waits
+    for the helper's draw and returns them.
+    """
+    normals = np.empty((m, 3))
+    tasks = []
+    lazy = normals.size >= _helper.MIN_SIZE
+    if lazy:
+        tasks.append(functools.partial(_draw_normals, rng, normals))
+    elif m > 0:
+        _draw_normals(rng, normals)
+    kick = None
+    if next_kick is not None and math.prod(next_kick[2]) >= _helper.MIN_SIZE:
+        kick = np.empty(next_kick[2])
+        tasks.append(functools.partial(_draw_kick, next_kick, kick))
+    if tasks:
+        helper = _helper.Helper("gsteady-step-helper", *tasks)
+    if kick is not None:
+        _pending[next_kick] = (helper, kick)
+    if not lazy:
+        return normals
+
+    def drawn():
+        helper.wait(0)
+        return normals
+    return drawn
 
 
 @dataclass
@@ -269,19 +284,25 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     move.  A step that raises leaves the ensemble and its energy ledger as
     they were.
 
-    At N >= _PREFETCH_MIN / 3 the step starts drawing the bath kick of step
-    `ens.step_count + 1` on a second thread, to be taken by the next step
-    with the same (seed, step, N, scale) key.  That kick is a pure function
-    of its key and is drawn exactly as an inline one, so runs stay
+    Once its candidates are drawn, the step starts the helper thread on
+    the draws of at least `_helper.MIN_SIZE` (2^15) elements that no
+    velocity decides: first the candidates' scattering normals (m >=
+    2^15 / 3), which the sweep waits for before its first accepted
+    collision, then the bath kick of step `ens.step_count + 1` (N >= 2^15 /
+    3), to be taken by the next step with the same (seed, step, N, scale)
+    key.  Both are drawn exactly as inline draws, so runs stay
     bit-reproducible; a step holds one extra velocity array while it runs.
     """
     n = ens.n
     dt = config.dt
 
     bath = 0.0
+    next_kick = None
     if config.mu > 0.0:
-        vel = _bath_kick(config.seed, ens.step_count, ens.velocities.shape,
-                         math.sqrt(2.0 * config.mu * dt))
+        key = (config.seed, ens.step_count, ens.velocities.shape,
+               math.sqrt(2.0 * config.mu * dt))
+        next_kick = (key[0], key[1] + 1) + key[2:]
+        vel = _bath_kick(key)
         vel += ens.velocities
         bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
     else:
@@ -293,17 +314,20 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     umax = _UMAX_FACTOR * 2.0 * vmax
     accepted = 0
     loss = 0.0
+    m = 0
     if umax > 0.0:
         rng = _stream(config.seed, ens.step_count, _STREAM_COLLIDE)
         m = int(rng.poisson((n - 1) * umax * dt / 2.0))
-        if m > 0:
-            ii = rng.integers(0, n, size=m)
-            jj = rng.integers(0, n - 1, size=m)
-            jj = jj + (jj >= ii)
-            accept_u = rng.random(m)
-            normals = rng.normal(size=(m, 3))
-            accepted, loss = _kernels.apply_collisions(
-                vel, ii, jj, accept_u, normals, umax, model, vmax)
+    if m > 0:
+        ii = rng.integers(0, n, size=m)
+        jj = rng.integers(0, n - 1, size=m)
+        jj = jj + (jj >= ii)
+        accept_u = rng.random(m)
+        normals = _draw_ahead(next_kick, rng, m)
+        accepted, loss = _kernels.apply_collisions(
+            vel, ii, jj, accept_u, normals, umax, model, vmax)
+    else:
+        _draw_ahead(next_kick)
 
     ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * accepted / n)
     if ens.step_count > 20 and ema > 0.2:
@@ -386,12 +410,6 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
     return ens, report
 
 
-def _draw_kicks_inline() -> None:
-    """Pool-worker initializer: no kick is large enough to prefetch."""
-    global _PREFETCH_MIN
-    _PREFETCH_MIN = math.inf
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -406,9 +424,10 @@ def run_many(jobs) -> list:
     most one per job), or in this process when that is one worker or the
     platform cannot fork.  Each run depends only on its job, so the results
     are bit-identical for any worker count; a worker's exception reaches the
-    caller with its original type.  The workers draw their bath kicks
-    inline: on a 2-core host, eight N=2e4 runs in two workers took
-    11.1-11.2 s so, and 11.7-11.9 s with a prefetch thread in each worker.
+    caller with its original type.  The workers use no helper thread
+    (`_helper.run_inline`): on a 2-core host, eight N=2e4 runs in two
+    workers took 11.1-11.2 s that way, and 11.7-11.9 s with a bath-kick
+    prefetch thread in each worker.
     """
     jobs = list(jobs)
     workers = min(_usable_cores(), len(jobs))
@@ -420,7 +439,7 @@ def run_many(jobs) -> list:
         if "fork" in multiprocessing.get_all_start_methods():
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=fork,
-                                     initializer=_draw_kicks_inline) as pool:
+                                     initializer=_helper.run_inline) as pool:
                 return list(pool.map(run_to_steady, *zip(*jobs)))
     return [run_to_steady(*job) for job in jobs]
 

@@ -297,6 +297,22 @@ def test_ensemble_energy_overflow_is_config_error(runner, tmp_path,
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_lambda_elastic_law_exits_1(runner, tmp_path, monkeypatch):
+    """An elastic law under a bath dissipates nothing, so no lambda has a
+    steady temperature to start from: sweep-lambda exits 1 with one
+    `config error:` line before run_many starts any run."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, ["sweep-lambda", write(tmp_path, BASE_CONFIG),
+                                  "-l", "0.5", "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("config error: no steady temperature")
+    assert result.output.count("\n") == 1
+    assert runs == [] and not out.exists()
+
+
 def test_simulate_elastic_reaches_t0(runner, tmp_path):
     cfg = write(tmp_path, BASE_CONFIG)
     out = tmp_path / "out"

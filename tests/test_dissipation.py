@@ -1,8 +1,12 @@
+import math
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from gsteady import _helper
 from gsteady.dissipation import (PSI_BLOCK, DissipationSpec,
                                  dissipation_functional,
                                  gaussian_pair_average, psi_e,
@@ -225,6 +229,61 @@ def test_steady_ansatz_limits():
     # Monotone in lambda: weaker inelasticity needs higher temperature.
     ts = [steady_temperature_ansatz(spec, lam) for lam in (0.4, 0.2, 0.1, 0.05)]
     assert all(a > b for a, b in zip(ts, ts[1:]))
+
+
+def test_steady_ansatz_without_root_is_input_error():
+    """An elastic law dissipates nothing: the balance is -6 at both ends of
+    the bracket, so there is no steady temperature to find."""
+    for model in (elastic(), constant(1.0)):
+        with pytest.raises(InputError, match="no steady temperature"):
+            steady_temperature_ansatz(DissipationSpec(model), 0.5)
+
+
+# The fewest rows whose psi_e the caller and the helper thread split.
+SPLIT_ROWS = _helper.MIN_SIZE // 64
+
+
+@pytest.mark.parametrize("model", [constant(0.4), power_law(1.0, 0.2),
+                                   viscoelastic(1.0)],
+                         ids=["constant", "power_law", "viscoelastic"])
+def test_psi_e_split_equals_serial_blocks(model, monkeypatch):
+    """Just below the split threshold psi_e runs inline; at it, just above
+    it and at a row count that is no multiple of PSI_BLOCK, the helper
+    evaluates the second half of the blocks.  Every value equals the serial
+    block loop's (the pool workers' path) bit for bit."""
+    started = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(_helper.threading, "Thread", SpyThread)
+    spec = DissipationSpec(model)
+    r = np.random.default_rng(6).exponential(2.0, size=3 * SPLIT_ROWS)
+    sizes = (SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 2 * SPLIT_ROWS + 37)
+    assert sizes[-1] % PSI_BLOCK != 0
+    split = [psi_e(spec, r[:n]) for n in sizes]
+    assert started == ["gsteady-psi-half"] * 3
+    monkeypatch.setattr(_helper, "MIN_SIZE", math.inf)
+    for n, got in zip(sizes, split):
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      psi_e(spec, r[:n]).view(np.int64))
+    assert started == ["gsteady-psi-half"] * 3
+
+
+def test_psi_e_split_keeps_caller_error_state():
+    """The helper's half runs under the caller's numpy error state: an
+    overflow there raises in the caller under `over="raise"`, as inline,
+    and warns nothing under `over="ignore"`."""
+    spec = DissipationSpec(constant(0.4))
+    r = np.ones(2 * SPLIT_ROWS)
+    r[-1] = 1e300  # r ** 1.5 overflows, in the helper's half
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        psi_e(spec, r)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert psi_e(spec, r)[-1] == np.inf
 
 
 def test_psi_e_blocks_match_whole_array():

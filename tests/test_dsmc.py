@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import re
+import sys
 import threading
 import time
 import warnings
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsteady import dsmc
+from gsteady import _helper, dsmc
 from gsteady.config import build_setup, parse_config_text
-from gsteady.dissipation import dissipation_functional
+from gsteady.dissipation import DissipationSpec, dissipation_functional, psi_e
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
                           load_snapshot, run_many, run_to_steady,
                           save_snapshot, step)
@@ -480,8 +481,8 @@ def test_run_many_reraises_worker_error(monkeypatch):
         run_many([_jobs()[0], bad])
 
 
-# The smallest N whose bath kick is prefetched on a second thread.
-N_PREFETCH = dsmc._PREFETCH_MIN // 3 + 1
+# The smallest N whose bath kick is prefetched on the helper thread.
+N_PREFETCH = _helper.MIN_SIZE // 3 + 1
 
 
 def _prefetch_config(**kw):
@@ -509,7 +510,7 @@ def _assert_same_state(got, want):
     assert _ledger_state(got)[1:] == _ledger_state(want)[1:]
 
 
-@pytest.mark.parametrize("scale", [0.0, 5e-324, 0.37, 1e300])
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 0.37, 1.0, 1e300])
 def test_kick_draw_is_normal_bit_for_bit(scale):
     """_draw_kick fills a buffer with exactly normal(0.0, scale), the sign
     of every zero included (numpy computes 0.0 + scale * z)."""
@@ -598,43 +599,159 @@ def test_run_many_while_prefetch_pending(monkeypatch):
     monkeypatch.setattr(dsmc, "_draw_kick", slow_draw)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    dsmc._prefetch((cfg.seed, 0, (cfg.n, 3), math.sqrt(2.0 * cfg.mu * cfg.dt)))
+    dsmc._draw_ahead((cfg.seed, 0, (cfg.n, 3), math.sqrt(2.0 * cfg.mu * cfg.dt)))
     got = run_many(jobs)
     dsmc._drop_pending()
     _assert_runs_equal(got, serial)
 
 
-def _prefetch_min_of_worker(*job):
-    return dsmc._PREFETCH_MIN
-
-
-@pytest.mark.parametrize("cores", [2, 3])
-def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
-    """run_many's pool workers draw every kick inline, whether or not the
-    pool leaves a core free; the parent process keeps the prefetch."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(dsmc, "run_to_steady", _prefetch_min_of_worker)
-    assert run_many(_jobs()[:2]) == [math.inf, math.inf]
-    assert dsmc._PREFETCH_MIN == 1 << 15
-
-
-def test_no_prefetch_below_threshold(monkeypatch):
-    """Below _PREFETCH_MIN normals every kick is drawn inline, with no
-    thread started; at the threshold each step starts one."""
-    started = []
+def _spy_helpers(monkeypatch):
+    """Record the name of every thread started from now on, and the number
+    of gsteady helper threads alive just after each start."""
+    started, alive = [], []
 
     class SpyThread(threading.Thread):
         def start(self):
             started.append(self.name)
             super().start()
+            alive.append(sum(t.name.startswith("gsteady")
+                             for t in threading.enumerate()))
 
+    monkeypatch.setattr(_helper.threading, "Thread", SpyThread)
+    return started, alive
+
+
+def _helper_starts_in_worker(*job):
+    """Run, in a pool worker, a step whose normals and kick are both above
+    the helper's threshold and a psi_e above its split threshold; return
+    the threshold and the threads started."""
+    with pytest.MonkeyPatch.context() as patch:
+        started, _ = _spy_helpers(patch)
+        _stepped(_prefetch_config(dt=0.2), constant(0.6),
+                 InitialCondition("maxwellian", t0=1.0), 1)
+        psi_e(DissipationSpec(constant(0.6)), np.ones(4 * 256))
+    return _helper.MIN_SIZE, started
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
+    """run_many's pool workers draw every kick, every normal and both psi_e
+    halves inline, with no thread started, whether or not the pool leaves a
+    core free; the parent process keeps the helper."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(dsmc, "run_to_steady", _helper_starts_in_worker)
+    assert run_many(_jobs()[:2]) == [(math.inf, [])] * 2
+    assert _helper.MIN_SIZE == 1 << 15
+
+
+def test_no_prefetch_below_threshold(monkeypatch):
+    """Below _helper.MIN_SIZE normals every kick is drawn inline, with no
+    thread started; at the threshold each step starts one helper."""
     dsmc._drop_pending()
-    monkeypatch.setattr(dsmc.threading, "Thread", SpyThread)
+    started, _ = _spy_helpers(monkeypatch)
     model = constant(0.6)
     init = InitialCondition("maxwellian", t0=1.0)
     _stepped(_prefetch_config(n=N_PREFETCH - 1), model, init, 3)
     assert started == [] and dsmc._pending == {}
     _stepped(_prefetch_config(), model, init, 3)
     dsmc._drop_pending()
-    assert started == ["gsteady-bath-kick"] * 3
+    assert started == ["gsteady-step-helper"] * 3
+
+
+# At N_PREFETCH and this dt a step has about 22k candidates, so 3m > 2^15 and
+# the helper draws the normals as well as the next kick.
+DT_HELPER_NORMALS = 0.2
+
+
+def _helper_run_config(**kw):
+    base = dict(dt=DT_HELPER_NORMALS, max_steps=10, window=2, sample_every=5,
+                diss_pairs=3000)
+    base.update(kw)
+    return _prefetch_config(**base)
+
+
+def test_helper_draws_equal_inline_draws(monkeypatch):
+    """A run whose normals, kicks and psi_e halves come from the helper
+    equals, bit for bit, the same run with the pool-worker switch set, where
+    every draw and both halves are inline: the velocities, the ledger and
+    every series row, diss_estimate included."""
+    cfg = _helper_run_config(seed=24)
+    model = rescale(power_law(1.0, 0.2), 0.3)
+    init = InitialCondition("maxwellian", t0=1.0)
+    started, _ = _spy_helpers(monkeypatch)
+    lazy = []
+    sweep = dsmc._kernels.apply_collisions
+
+    def spy(vel, ii, jj, accept_u, normals, *rest):
+        lazy.append(callable(normals))
+        return sweep(vel, ii, jj, accept_u, normals, *rest)
+
+    monkeypatch.setattr(dsmc._kernels, "apply_collisions", spy)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        helped = run_to_steady(cfg, model, init)
+    finally:
+        sys.setswitchinterval(interval)
+    dsmc._drop_pending()
+    assert lazy == [True] * cfg.max_steps
+    assert set(started) == {"gsteady-step-helper", "gsteady-psi-half"}
+    assert started.count("gsteady-step-helper") == cfg.max_steps
+    monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
+    _helper.run_inline()
+    started.clear()
+    lazy.clear()
+    inline = run_to_steady(cfg, model, init)
+    assert started == [] and lazy == [False] * cfg.max_steps
+    _assert_runs_equal([helped], [inline])
+    assert helped[1].series[-1][6] == inline[1].series[-1][6] > 0.0
+
+
+def test_violation_while_helper_draws(monkeypatch):
+    """A step that raises MajorantViolation while the helper is still
+    drawing its normals leaves the ensemble as it was; retried, the run
+    ends as a clean one does."""
+    # Hot and long enough that the helper still draws the normals at a
+    # quarter of the majorant rate.
+    cfg = _helper_run_config(seed=25, mu=0.05, dt=0.4)
+    model = constant(0.5)
+    init = InitialCondition("maxwellian", t0=4.0)
+    clean = _stepped(cfg, model, init, 4)
+    dsmc._drop_pending()
+    ens = initial_ensemble(cfg, init)
+    step(ens, cfg, model)
+    before = _ledger_state(ens)
+    draw = dsmc._draw_normals
+
+    def slow_draw(rng, out, scale=1.0):
+        if scale == 1.0:  # the scattering normals, not a kick
+            time.sleep(0.3)
+        draw(rng, out, scale)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dsmc, "_draw_normals", slow_draw)
+        patch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
+        with pytest.raises(MajorantViolation):
+            step(ens, cfg, model)
+        thread = _helper._current._thread
+        assert thread.is_alive()
+    thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    after = _ledger_state(ens)
+    np.testing.assert_array_equal(after[0], before[0])
+    assert after[1:] == before[1:]
+    for _ in range(3):
+        step(ens, cfg, model)
+    dsmc._drop_pending()
+    _assert_same_state(ens, clean)
+
+
+def test_at_most_one_helper_alive(monkeypatch):
+    """However the step's helper and the psi_e halves interleave in a run,
+    no more than one gsteady helper thread is alive beside the caller."""
+    _, alive = _spy_helpers(monkeypatch)
+    run_to_steady(_helper_run_config(seed=26), viscoelastic(1.0),
+                  InitialCondition("maxwellian", t0=1.0))
+    dsmc._drop_pending()
+    assert len(alive) > 10 and max(alive) == 1
