@@ -33,16 +33,22 @@ def _predecessors(idx_i, idx_j):
     none."""
     m = idx_i.shape[0]
     # Endpoint 2k is i_k and 2k+1 is j_k.  Sorting the unique keys
-    # particle * 2m + position lists each particle's endpoints in candidate
-    # order, and the keys decode back to (particle, position).
-    parts = np.empty(2 * m, dtype=np.int64)
-    parts[0::2] = idx_i
-    parts[1::2] = idx_j
-    key = np.sort(parts * (2 * m) + np.arange(2 * m))
-    part, pos = np.divmod(key, 2 * m)
+    # (particle << w) | position, with 2m < 2^w, lists each particle's
+    # endpoints in candidate order, and the keys decode back to
+    # (particle, position) by a shift and a mask.  Particles are below N and
+    # 2^w <= 4m, so a key is below 4 N m: within int64 while N m < 2^61.
+    w = (2 * m).bit_length()
+    key = np.empty(2 * m, dtype=np.int64)
+    key[0::2] = idx_i
+    key[1::2] = idx_j
+    key <<= w
+    key |= np.arange(2 * m)
+    key.sort()
+    part = key >> w
+    pos = key & ((1 << w) - 1)
     prev = np.empty(2 * m, dtype=np.int64)
     prev[pos[:1]] = m
-    prev[pos[1:]] = np.where(part[1:] == part[:-1], pos[:-1] // 2, m)
+    prev[pos[1:]] = np.where(part[1:] == part[:-1], pos[:-1] >> 1, m)
     prev_i = prev[0::2]
     prev_j = prev[1::2]
     # A pair with i == j would find itself as j's predecessor.
@@ -89,6 +95,7 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
         cand = np.flatnonzero(thresh < 2.0 * (1.0 + 1e-12) * bound)
         ci = idx_i.take(cand)
         cj = idx_j.take(cand)
+        ct = thresh.take(cand)
         mc = cand.size
         prev_i, prev_j = _predecessors(ci, cj)
         done = np.zeros(mc + 1, dtype=bool)
@@ -98,7 +105,8 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
         accepted = 0
         undo = []
         while pending.size:
-            ready = done[prev_i[pending]] & done[prev_j[pending]]
+            ready = done.take(prev_i.take(pending))
+            ready &= done.take(prev_j.take(pending))
             ks = pending[ready]
             pending = pending[~ready]
             done[ks] = True
@@ -110,19 +118,18 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
             un = np.sqrt(_dot(u, u))
             if np.any(un > umax):
                 raise MajorantViolation("pairwise speed exceeded U_max")
-            ks = cand.take(ks)
             # Negated skip test, so a NaN speed collides as in the scalar loop.
-            hit = ~((un <= 0.0) | (thresh.take(ks) >= un))
-            if not hit.any():
+            hit = np.flatnonzero(~((un <= 0.0) | (ct.take(ks) >= un)))
+            if not hit.size:
                 continue
-            ks = ks[hit]
+            ks = cand.take(ks.take(hit))
             if callable(normals):
                 normals = normals()
             raw = normals.take(ks, axis=0)
-            sigma = raw / np.maximum(
-                np.linalg.norm(raw, axis=1, keepdims=True), 1e-300)
-            h, terms[ks] = sigma_collision(u[hit], sigma, model)
-            i, j, vi, vj = i[hit], j[hit], vi[hit], vj[hit]
+            sigma = raw / np.maximum(np.sqrt(_dot(raw, raw))[:, None], 1e-300)
+            h, terms[ks] = sigma_collision(u.take(hit, axis=0), sigma, model)
+            i, j = i.take(hit), j.take(hit)
+            vi, vj = vi.take(hit, axis=0), vj.take(hit, axis=0)
             wi = vi - h
             wj = vj + h
             vel[i] = wi

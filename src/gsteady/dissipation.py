@@ -24,17 +24,17 @@ from .kinematics import gauss_laguerre, gauss_legendre
 from .observables import maxwell_moment
 from .restitution import RestitutionModel, e_of_s
 
-# Rows of psi_e's argument evaluated together.  The law core solves the
-# viscoelastic law on a whole (rows x 64 nodes) block at once, and its Newton
-# temporaries should stay cache-sized: on a 2-core x86_64 host one solve of
-# 16,384 elements took 0.42 ms and one of 65,536 took 2.55 ms, about 1.5x
-# slower per element.  From two blocks and _helper.MIN_SIZE law evaluations
-# (rows x 64 nodes) on, psi_e splits its blocks at a block boundary, and the
-# helper thread evaluates the second half while the caller does the first.
-# Larger blocks made a split call faster on its own but slowed the runs
-# around it on the same host: at 1024 rows the benchmark's `replicas` wall
-# time rose 13 % and `visco_diag`'s peak RSS 11 %.
-PSI_BLOCK = 256
+# Rows of psi_e's argument evaluated together, in one (rows x 64 nodes)
+# scratch block that the law core overwrites.  The viscoelastic Newton solve
+# keeps five more arrays of the block's size; on a 2-core x86_64 host it
+# took 21.5 ns per element at 256 and at 512 rows, and 31 ns at 1024 rows,
+# where its arrays outgrow the cache.  From two blocks and _helper.MIN_SIZE
+# law evaluations (rows x 64 nodes) on, psi_e splits its blocks at a block
+# boundary, and the helper thread evaluates the second half while the caller
+# does the first.  Fewer blocks leave the two threads less often waiting for
+# the interpreter lock: on 10,000 viscoelastic pairs a split call took
+# 14.8 ms at 256 rows, 11.0 ms at 512 and 13.3 ms at 1024.
+PSI_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,25 @@ class DissipationSpec:
         object.__setattr__(self, "_z3w", z ** 3 * (0.5 * w))
 
 
-def _psi_blocks(spec: DissipationSpec, flat, out, start: int, stop: int):
-    """psi_e of flat[start:stop] into out, PSI_BLOCK rows at a time; start
-    is a multiple of PSI_BLOCK."""
+def _psi_blocks(spec: DissipationSpec, flat, out, scratch, start, stop):
+    """psi_e of flat[start:stop] into out, PSI_BLOCK rows at a time in
+    scratch (a block's rows x 64 nodes); start is a multiple of PSI_BLOCK."""
     model = spec.model
-    for lo in range(start, stop, PSI_BLOCK):
-        blk = flat[lo:min(lo + PSI_BLOCK, stop)]
-        s = (model.lambda_scale * np.sqrt(blk)) ** model.gamma
-        e = e_of_s(model, s[:, None] * spec._z_gamma)
-        out[lo:lo + blk.size] = 0.5 * blk ** 1.5 * np.sum(
-            (1.0 - e * e) * spec._z3w, axis=-1)
+    r = flat[start:stop]
+    s = (model.lambda_scale * np.sqrt(r)) ** model.gamma
+    pre = 0.5 * r ** 1.5
+    for lo in range(0, r.size, PSI_BLOCK):
+        hi = min(lo + PSI_BLOCK, r.size)
+        blk = np.multiply(s[lo:hi, None], spec._z_gamma,
+                          out=scratch[:hi - lo])
+        e = e_of_s(model, blk)
+        # pre * sum((1 - e e) z^3 w), grouped as written.
+        e *= e
+        np.subtract(1.0, e, out=e)
+        e *= spec._z3w
+        dst = out[start + lo:start + hi]
+        np.sum(e, axis=-1, out=dst)
+        dst *= pre[lo:hi]
 
 
 def psi_e(spec: DissipationSpec, r):
@@ -78,14 +87,17 @@ def psi_e(spec: DissipationSpec, r):
     flat = arr.reshape(-1)
     out = np.empty_like(flat)
     blocks = -(-flat.size // PSI_BLOCK)
+    scratch = np.empty((min(flat.size, PSI_BLOCK), spec._z3w.size))
     if blocks >= 2 and flat.size * spec._z3w.size >= _helper.MIN_SIZE:
         mid = blocks // 2 * PSI_BLOCK
+        # Allocated here: a thread that allocates takes its own malloc arena.
         half = _helper.Helper("gsteady-psi-half", functools.partial(
-            _psi_blocks, spec, flat, out, mid, flat.size))
-        _psi_blocks(spec, flat, out, 0, mid)
+            _psi_blocks, spec, flat, out, np.empty_like(scratch), mid,
+            flat.size))
+        _psi_blocks(spec, flat, out, scratch, 0, mid)
         half.wait()
     else:
-        _psi_blocks(spec, flat, out, 0, flat.size)
+        _psi_blocks(spec, flat, out, scratch, 0, flat.size)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -151,8 +163,8 @@ def theta_limit(a: float, gamma: float) -> ThetaResult:
     printed-formula variant uses the prefactor 2^{3/2} and the moment of
     pi^{-3/2} exp(-|v|^2/2); it is reported for comparison only.
     """
-    if a <= 0.0 or gamma <= 0.0:
-        raise InputError("theta_limit requires a > 0 and gamma > 0")
+    if not (0.0 < a < np.inf and 0.0 < gamma < np.inf):
+        raise InputError("theta_limit requires finite a > 0 and gamma > 0")
     q = 3.0 + gamma
     # V - V* is Gaussian at temperature 2 theta, so E|V - V*|^q is the
     # Maxwellian moment m_{q/2}(2 theta), which scales as theta^{q/2}: solve

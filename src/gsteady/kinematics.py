@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .restitution import RestitutionModel, beta, eval_e, scalar_or_array
+from .restitution import (RestitutionModel, beta, checked_e, eval_e,
+                          scalar_or_array)
 
 UNIT_TOL = 1e-12
 
@@ -66,9 +67,10 @@ def sq_norm(w):
 
 
 def _dot(a, b):
-    """Dot product over the last axis, written out so that one pair and a
-    batch round alike."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """Dot product over the last axis, the three products added left to
+    right, so that one pair and a batch round alike."""
+    p = a * b
+    return p[..., 0] + p[..., 1] + p[..., 2]
 
 
 def _check_unit(vec, name: str) -> np.ndarray:
@@ -89,7 +91,7 @@ def sigma_collision(u, sigma, model: RestitutionModel):
     """
     un = np.sqrt(_dot(u, u))
     s = np.clip(_dot(u, sigma) / np.where(un == 0.0, 1.0, un), -1.0, 1.0)
-    e = np.asarray(eval_e(model, un * np.sqrt(0.5 * (1.0 - s))))
+    e = checked_e(model, un * np.sqrt(0.5 * (1.0 - s))).reshape(un.shape)
     b = 0.5 * (1.0 + e)
     h = 0.5 * b[..., None] * (u - un[..., None] * sigma)
     return h, 0.25 * un * un * (1.0 - s) * (1.0 - e * e)

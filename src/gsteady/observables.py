@@ -43,8 +43,8 @@ def moments(ensemble, p_set=DEFAULT_P_SET) -> dict[float, float]:
 
 def tail_integral(ensemble, a: float) -> TailReport:
     """Empirical mean of exp(a |v|^{3/2}) with a single-sample share flag."""
-    if a < 0.0:
-        raise InputError("tail rate must be non-negative")
+    if not 0.0 <= a < np.inf:
+        raise InputError("tail rate must be finite and non-negative")
     speeds = np.sqrt(_sq_speeds(ensemble))
     weights = np.exp(a * speeds ** 1.5)
     total = float(np.sum(weights))
@@ -71,8 +71,8 @@ def maxwellian_distance(ensemble, theta: float,
     distance between the empirical speed histogram (64 bins on [0, 5 sqrt
     theta] plus overflow) and the exact Maxwell speed law.
     """
-    if theta <= 0.0:
-        raise InputError("temperature must be positive")
+    if not 0.0 < theta < np.inf:
+        raise InputError("temperature must be positive and finite")
     emp = moments(ensemble, p_set)
     d_m = sum(abs(emp[float(p)] - maxwell_moment(theta, p))
               / maxwell_moment(theta, p) for p in p_set)

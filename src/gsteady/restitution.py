@@ -42,8 +42,8 @@ class RestitutionModel:
             raise InputError(f"unknown restitution kind {self.kind!r}")
         if self.kind == CONSTANT and not 0.0 < self.e0 <= 1.0:
             raise InputError("constant restitution requires e0 in (0, 1]")
-        if self.kind != CONSTANT and self.a <= 0.0:
-            raise InputError("restitution coefficient a must be positive")
+        if self.kind != CONSTANT and not 0.0 < self.a < math.inf:
+            raise InputError("restitution coefficient a must be positive and finite")
         if self.kind == POWER_LAW and not 0.0 < self.gamma <= 1.0:
             raise InputError("power-law exponent gamma must lie in (0, 1]")
         if self.kind == VISCOELASTIC and self.gamma != VISCO_GAMMA:
@@ -86,25 +86,30 @@ def _visco_newton(c):
     decreases monotonically onto the root.  Each element stops at the first
     step shorter than _NEWTON_STEP_TOL, so its value does not depend on the
     rest of the array (c = 0 gives step 0, so y = 1).  The live elements are
-    updated in place under a mask until none is live.
+    updated in place under a mask until none is live; every array the loop
+    writes is allocated once, before it.
     """
     y = np.ones_like(c)
+    y2, step, dg = np.empty((3,) + c.shape)
     c3 = 3.0 * c
     on = np.ones(c.shape, dtype=bool)
+    stop = np.empty_like(on)
     for _ in range(_NEWTON_MAX_ITER):
         # step = g / dg, g = y^2 y (y^2 + c) - 1, dg = y^2 (5y y + 3c), each
-        # grouped as written and built in place to spare temporaries.
-        y2 = y * y
-        step = y2 * y
-        step *= y2 + c
+        # grouped as written.
+        np.multiply(y, y, out=y2)
+        np.multiply(y2, y, out=step)
+        np.add(y2, c, out=dg)
+        step *= dg
         step -= 1.0
-        dg = 5.0 * y
+        np.multiply(5.0, y, out=dg)
         dg *= y
         dg += c3
         dg *= y2
         step /= dg
         np.subtract(y, step, out=y, where=on)
-        on &= ~(np.abs(step) < _NEWTON_STEP_TOL)
+        np.less(np.abs(step, out=step), _NEWTON_STEP_TOL, out=stop)
+        on &= np.invert(stop, out=stop)
         if not on.any():
             break
     return y
@@ -112,16 +117,21 @@ def _visco_newton(c):
 
 def e_of_s(model: RestitutionModel, s):
     """The law core: e as a function of s = (lambda_scale * r) ** gamma, for
-    an array s of any shape, unchecked; eval_e is its checked entry.
+    an array s of any shape, unchecked; checked_e is its checked entry.
 
     The power law is 1 / (1 + a s); the viscoelastic law is e = y^5 with
-    y^5 + a s y^3 = 1.
+    y^5 + a s y^3 = 1.  May overwrite s and return it, so callers pass an
+    array they own and no longer need.
     """
     if model.kind == CONSTANT:
-        return np.full(s.shape, model.e0)
+        s.fill(model.e0)
+        return s
+    s *= model.a
     if model.kind == POWER_LAW:
-        return 1.0 / (1.0 + model.a * s)
-    return _visco_newton(model.a * s) ** 5
+        s += 1.0
+        return np.divide(1.0, s, out=s)
+    y = _visco_newton(s)
+    return np.power(y, 5, out=y)
 
 
 def eval_e(model: RestitutionModel, r):
@@ -132,12 +142,17 @@ def eval_e(model: RestitutionModel, r):
     does not depend on the shape it is passed in.
     """
     arr = np.asarray(r, dtype=float)
-    if not np.all((arr >= 0.0) & (arr < np.inf)):
+    return scalar_or_array(checked_e(model, arr).reshape(arr.shape))
+
+
+def checked_e(model: RestitutionModel, r: np.ndarray) -> np.ndarray:
+    """eval_e's array core: e at the impact speeds of the float array r, of
+    any shape, as a 1-d array.  Raises InputError for a negative or
+    non-finite speed."""
+    if not np.all((r >= 0.0) & (r < np.inf)):
         raise InputError("impact speed must be finite and non-negative")
     # Computed on 1-d arrays: numpy's scalar pow rounds unlike its array pow.
-    flat = arr.reshape(-1)
-    e = e_of_s(model, (model.lambda_scale * flat) ** model.gamma)
-    return scalar_or_array(e.reshape(arr.shape))
+    return e_of_s(model, (model.lambda_scale * r.reshape(-1)) ** model.gamma)
 
 
 def beta(model: RestitutionModel, r):
@@ -169,4 +184,6 @@ def implicit_residual(model: RestitutionModel, r) -> float:
 
 def log_grid(lo: float = 1e-8, hi: float = 1e8, n: int = 1000) -> np.ndarray:
     """Log-spaced evaluation grid used by the grid-based invariant checks."""
+    if not 0.0 < lo < hi < math.inf:
+        raise InputError("log_grid needs 0 < lo < hi < inf")
     return np.logspace(math.log10(lo), math.log10(hi), n)

@@ -42,11 +42,13 @@ class EquivalenceReport:
 
 def two_sample_z(x, y) -> float:
     """(mean(x) - mean(y)) over its standard error from the two sample
-    variances; 0 when both samples are constant."""
+    variances; 0 when both samples are constant and finite."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 2 or len(y) < 2:
         raise InputError("a two-sample z-score needs at least 2 samples a side")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputError("a two-sample z-score needs finite samples")
     se = math.sqrt(x.var(ddof=1) / len(x) + y.var(ddof=1) / len(y))
     return float((x.mean() - y.mean()) / se) if se > 0 else 0.0
 

@@ -196,6 +196,15 @@ def test_theta_scaling_law():
         theta_limit(-1.0, 0.2)
 
 
+@pytest.mark.parametrize("a, g", [(math.nan, 0.2), (math.inf, 0.2),
+                                  (1.0, math.nan), (1.0, math.inf)])
+def test_theta_limit_rejects_non_finite(a, g):
+    """A NaN or infinite parameter raises rather than giving a NaN or zero
+    temperature."""
+    with pytest.raises(InputError, match="finite"):
+        theta_limit(a, g)
+
+
 @pytest.mark.parametrize("g", [0.2, 0.5, 1.0])
 def test_theta_monte_carlo(g, rng):
     theta = theta_limit(1.0, g).theta
@@ -239,8 +248,9 @@ def test_steady_ansatz_without_root_is_input_error():
             steady_temperature_ansatz(DissipationSpec(model), 0.5)
 
 
-# The fewest rows whose psi_e the caller and the helper thread split.
-SPLIT_ROWS = _helper.MIN_SIZE // 64
+# The fewest rows whose psi_e the caller and the helper thread split: two
+# blocks and _helper.MIN_SIZE law evaluations.
+SPLIT_ROWS = max(_helper.MIN_SIZE // 64, PSI_BLOCK + 1)
 
 
 @pytest.mark.parametrize("model", [constant(0.4), power_law(1.0, 0.2),
@@ -302,15 +312,17 @@ def test_psi_e_blocks_match_whole_array():
 
 def test_psi_e_memory_bounded():
     """One call on 100 000 pairs (the diagnostic's default sample) peaks
-    under 32 MB of traced memory; its (pairs x 64 nodes) temporaries held at once
-    would take about 200 MB."""
-    spec = DissipationSpec(power_law(1.0, 0.2))
+    under 32 MB of traced memory, for the power law and for the
+    viscoelastic law with its Newton arrays; its (pairs x 64 nodes)
+    temporaries held at once would take about 200 MB."""
     r = np.random.default_rng(5).exponential(2.0, size=100_000)
-    psi_e(spec, r[:10])
-    tracemalloc.start()
-    try:
-        psi_e(spec, r)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    for model in (power_law(1.0, 0.2), viscoelastic(1.0)):
+        spec = DissipationSpec(model)
+        psi_e(spec, r[:10])
+        tracemalloc.start()
+        try:
+            psi_e(spec, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, model.kind

@@ -81,6 +81,40 @@ def reference_sweep(vel, idx_i, idx_j, accept_u, normals, umax, model):
     return accepted, loss, 0
 
 
+def reference_predecessors(idx_i, idx_j):
+    """(prev_i, prev_j) by a last-seen dict, one candidate at a time; m
+    stands for "none"."""
+    m = len(idx_i)
+    last = {}
+    prev_i, prev_j = [], []
+    for k, (i, j) in enumerate(zip(idx_i.tolist(), idx_j.tolist())):
+        prev_i.append(last.get(i, m))
+        prev_j.append(last.get(j, m))
+        last[i] = last[j] = k
+    return prev_i, prev_j
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.one_of(st.integers(1, 300),
+                   st.sampled_from([2 ** k + d for k in range(1, 10)
+                                    for d in (-1, 0, 1)])),
+       n=st.sampled_from([1, 2, 3, 40, 10 ** 6]),
+       self_share=st.sampled_from([0.0, 0.2, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_predecessors_match_last_seen_loop(m, n, self_share, seed):
+    """The sorted-key predecessors equal a plain loop's, with self-pairs,
+    at candidate counts at and next to powers of two (where the key width
+    changes) and with particle indices up to 10^6."""
+    rng = np.random.default_rng(seed)
+    ii = rng.integers(0, n, size=m)
+    jj = rng.integers(0, n, size=m)
+    jj = np.where(rng.random(m) < self_share, ii, jj)
+    prev_i, prev_j = _kernels._predecessors(ii, jj)
+    ref_i, ref_j = reference_predecessors(ii, jj)
+    assert prev_i.tolist() == ref_i
+    assert prev_j.tolist() == ref_j
+
+
 MODELS = {
     "elastic": elastic(),
     "constant": constant(0.5),

@@ -101,3 +101,17 @@ def test_distance_self_temperature(rng):
 def test_distance_errors():
     with pytest.raises(InputError):
         maxwellian_distance(np.zeros((3, 3)), 0.0)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_distance_rejects_non_finite_theta(theta):
+    vel = np.random.default_rng(2).normal(size=(50, 3))
+    with pytest.raises(InputError, match="finite"):
+        maxwellian_distance(vel, theta)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_tail_rejects_non_finite_rate(a):
+    vel = np.random.default_rng(2).normal(size=(50, 3))
+    with pytest.raises(InputError, match="finite"):
+        tail_integral(vel, a)

@@ -134,7 +134,56 @@ def test_input_validation():
     with pytest.raises(InputError):
         power_law(-1.0, 0.2)
     with pytest.raises(InputError):
+        viscoelastic(0.0)
+    with pytest.raises(InputError):
         rescale(viscoelastic(1.0), 1.5)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+@pytest.mark.parametrize("law", [lambda a: power_law(a, 0.2), viscoelastic],
+                         ids=["power_law", "viscoelastic"])
+def test_law_coefficient_must_be_finite(law, a):
+    with pytest.raises(InputError, match="finite"):
+        law(a)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0),
+                                    (2.0, 1.0), (1.0, 1.0), (1.0, np.inf),
+                                    (np.nan, 1.0)])
+def test_log_grid_rejects_bad_bounds(lo, hi):
+    with pytest.raises(InputError, match="log_grid"):
+        log_grid(lo, hi)
+
+
+def reference_visco_newton(c):
+    """The Newton loop as first written, one new array per operation: the
+    in-place loop must give its values bit for bit."""
+    y = np.ones_like(c)
+    c3 = 3.0 * c
+    on = np.ones(c.shape, dtype=bool)
+    for _ in range(200):
+        y2 = y * y
+        step = y2 * y
+        step *= y2 + c
+        step -= 1.0
+        dg = 5.0 * y
+        dg *= y
+        dg += c3
+        dg *= y2
+        step /= dg
+        np.subtract(y, step, out=y, where=on)
+        on &= ~(np.abs(step) < 1e-15)
+        if not on.any():
+            break
+    return y
+
+
+def test_visco_newton_equals_allocating_loop():
+    c = np.concatenate([[0.0], np.logspace(-12, 6, 20_001)])
+    np.testing.assert_array_equal(_visco_newton(c), reference_visco_newton(c))
+    block = c[:20_000].reshape(100, 200)
+    np.testing.assert_array_equal(_visco_newton(block),
+                                  reference_visco_newton(block))
 
 
 def test_gamma_bar_defaults():

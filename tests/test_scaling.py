@@ -68,3 +68,13 @@ def test_two_sample_z():
     for x, y in (([1.0], [1.0, 2.0]), ([1.0, 2.0], [])):
         with pytest.raises(InputError):
             two_sample_z(x, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_two_sample_z_rejects_non_finite(bad):
+    """A diverged replica is no agreement: a NaN or infinite value on
+    either side raises instead of reading as z = 0."""
+    for x, y in (([1.0, bad], [1.0, 2.0]), ([1.0, 2.0], [bad, 2.0, 3.0])):
+        with pytest.raises(InputError, match="finite"):
+            two_sample_z(x, y)
+    assert two_sample_z([2.0, 2.0], [2.0, 2.0, 2.0]) == 0.0
