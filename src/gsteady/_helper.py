@@ -22,43 +22,34 @@ _current: Helper | None = None
 
 
 class Helper:
-    """Run tasks (zero-argument callables) in order on one new thread.
+    """Run one task (a zero-argument callable) on a new thread.
 
-    The tasks run in a copy of the caller's context, so numpy's error state
-    (`np.errstate`) is the caller's.  An exception a task raises ends the
-    thread and is raised again by `wait` for that task or a later one.
+    The task runs in a copy of the caller's context, so numpy's error state
+    (`np.errstate`) is the caller's.  An exception the task raises is raised
+    again by `wait`.
     """
 
-    def __init__(self, name: str, *tasks):
+    def __init__(self, name: str, task):
         global _current
         join()
-        self._done = [threading.Event() for _ in tasks]
-        self._failed = len(tasks)  # index of the task that raised
         self._error = None
         # Non-daemon, so interpreter exit never stops it inside numpy.
         self._thread = threading.Thread(
-            target=self._run, args=(contextvars.copy_context(), tasks),
+            target=self._run, args=(contextvars.copy_context(), task),
             name=name)
         self._thread.start()
         _current = self
 
-    def _run(self, context, tasks) -> None:
-        for index, task in enumerate(tasks):
-            try:
-                context.run(task)
-            except BaseException as exc:  # raised again in the waiting caller
-                self._error = exc
-                self._failed = index
-                for done in self._done[index:]:
-                    done.set()
-                return
-            self._done[index].set()
+    def _run(self, context, task) -> None:
+        try:
+            context.run(task)
+        except BaseException as exc:  # raised again in the waiting caller
+            self._error = exc
 
-    def wait(self, task: int = -1) -> None:
-        """Wait until tasks[task] (by default the last) is done."""
-        task %= len(self._done)
-        self._done[task].wait()
-        if self._failed <= task:
+    def wait(self) -> None:
+        """Wait until the task is done; raise what it raised."""
+        self._thread.join()
+        if self._error is not None:
             raise self._error
 
 

@@ -57,15 +57,25 @@ def _predecessors(idx_i, idx_j):
     return prev_i, prev_j
 
 
-def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
+def sphere_directions(dirs):
+    """Unit vectors uniform on S^2 from rows (d0, d1) of uniforms on [0, 1):
+    c = 2 d0 - 1, phi = 2 pi d1, sigma = (sqrt(1 - c^2) (cos phi, sin phi), c).
+    By Archimedes' hat-box theorem c is the height of a uniform point on the
+    sphere, so sigma is exactly uniform; it is a unit vector to rounding."""
+    c = 2.0 * dirs[:, 0] - 1.0
+    phi = 2.0 * math.pi * dirs[:, 1]
+    rho = np.sqrt(1.0 - c * c)
+    return np.stack((rho * np.cos(phi), rho * np.sin(phi), c), axis=-1)
+
+
+def apply_collisions(vel, idx_i, idx_j, accept_u, dirs, umax,
                      model: RestitutionModel, vmax):
     """Thin candidate pairs and apply accepted collisions in candidate order.
 
-    normals holds each candidate's raw scattering normal; only the accepted
-    rows are normalised.  It is an (m, 3) array, or a zero-argument callable
-    that returns one, called once before the first accepted collision (so
-    the draw can still run while the sweep filters candidates and finds its
-    rounds).  vmax must be max|v| over vel.
+    dirs holds each candidate's two direction uniforms, an (m, 2) array;
+    only the accepted rows are mapped to a scattering direction
+    (`sphere_directions`), so a candidate's direction does not depend on
+    the round that takes it.  vmax must be max|v| over vel.
 
     Each round takes every pending candidate whose previous candidates on i
     and on j are both done.  Candidates of one round touch disjoint
@@ -123,10 +133,7 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, normals, umax,
             if not hit.size:
                 continue
             ks = cand.take(ks.take(hit))
-            if callable(normals):
-                normals = normals()
-            raw = normals.take(ks, axis=0)
-            sigma = raw / np.maximum(np.sqrt(_dot(raw, raw))[:, None], 1e-300)
+            sigma = sphere_directions(dirs.take(ks, axis=0))
             h, terms[ks] = sigma_collision(u.take(hit, axis=0), sigma, model)
             i, j = i.take(hit), j.take(hit)
             vi, vj = vi.take(hit, axis=0), vj.take(hit, axis=0)

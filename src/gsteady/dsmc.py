@@ -8,14 +8,13 @@ from counter-based Philox streams keyed by (seed, step, substream), so a
 run is bit-reproducible from its configuration alone.  Independent runs go
 through run_many, which spreads them over a fork process pool.
 
-Two draws of each step depend on no velocity: the (m, 3) scattering
-normals, drawn last from the collision stream, and the next step's bath
-kick, a function of (seed, step, N, its scale) alone.  Once the step has
-drawn the candidates' pairs and accept variates, it hands both draws to one
-helper thread (`_draw_ahead`) and runs its collision sweep meanwhile; the
-sweep waits for the normals only before its first accepted collision, and
-the next step takes the kick if its key matches.  Both draws hold the same
-numbers as inline ones, so the helper changes no trajectory bit.
+Each candidate draws two uniforms for its scattering direction from the
+collision stream, and the sweep turns only the accepted candidates' pairs
+of uniforms into unit vectors.  The next step's bath kick is a function of (seed, step, N,
+its scale) alone: once a step has its own kick, it starts the next one on
+the helper thread (`_draw_ahead`) and runs meanwhile, and the next step
+takes it if its key matches.  The kick holds the same numbers as an inline
+one, so the helper changes no trajectory bit.
 """
 
 from __future__ import annotations
@@ -65,20 +64,14 @@ def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
 _pending: dict = {}
 
 
-def _draw_normals(rng, out, scale: float = 1.0) -> None:
-    """Fill `out` bit for bit as `rng.normal(0.0, scale, size=out.shape)`,
-    which computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
-    rng.standard_normal(out=out)
-    if scale != 1.0:
-        out *= scale
-    out += 0.0
-
-
 def _draw_kick(key, out) -> None:
-    """Fill `out` with the bath kick of key (seed, step, shape, scale), the
-    normals of the step's bath stream times scale."""
+    """Fill `out` with the bath kick of key (seed, step, shape, scale), bit
+    for bit as `normal(0.0, scale, size=out.shape)` from the step's bath
+    stream, which computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
     seed, step, _, scale = key
-    _draw_normals(_stream(seed, step, _STREAM_BATH), out, scale)
+    _stream(seed, step, _STREAM_BATH).standard_normal(out=out)
+    out *= scale
+    out += 0.0
 
 
 def _drop_pending() -> None:
@@ -101,41 +94,17 @@ def _bath_kick(key) -> np.ndarray:
     return kick
 
 
-def _draw_ahead(next_kick, rng=None, m: int = 0):
-    """Start the draws that no velocity decides on the helper thread.
-
-    The helper takes, in this order, each of these draws that reaches
-    `_helper.MIN_SIZE` elements: the step's (m, 3) scattering normals from
-    rng, the collision stream, which the caller must not touch again; then
-    the bath kick of key next_kick (None for no kick), into the pending
-    slot.  A smaller normal draw is made inline, a smaller kick by the step
-    that needs it.  The buffers are allocated here: a thread that allocates
-    grows the peak RSS by more than the array (glibc gives threads their own
-    arenas).  Returns the normals, as an array, or as a callable that waits
-    for the helper's draw and returns them.
-    """
-    normals = np.empty((m, 3))
-    tasks = []
-    lazy = normals.size >= _helper.MIN_SIZE
-    if lazy:
-        tasks.append(functools.partial(_draw_normals, rng, normals))
-    elif m > 0:
-        _draw_normals(rng, normals)
-    kick = None
-    if next_kick is not None and math.prod(next_kick[2]) >= _helper.MIN_SIZE:
-        kick = np.empty(next_kick[2])
-        tasks.append(functools.partial(_draw_kick, next_kick, kick))
-    if tasks:
-        helper = _helper.Helper("gsteady-step-helper", *tasks)
-    if kick is not None:
-        _pending[next_kick] = (helper, kick)
-    if not lazy:
-        return normals
-
-    def drawn():
-        helper.wait(0)
-        return normals
-    return drawn
+def _draw_ahead(key) -> None:
+    """Start the bath kick of key (seed, step, shape, scale) on the helper
+    thread, into the pending slot, if it has `_helper.MIN_SIZE` elements or
+    more; a smaller kick is drawn by the step that needs it.  The buffer is
+    allocated here: a thread that allocates grows the peak RSS by more than
+    the array (glibc gives threads their own arenas)."""
+    if math.prod(key[2]) >= _helper.MIN_SIZE:
+        kick = np.empty(key[2])
+        _pending[key] = (_helper.Helper(
+            "gsteady-step-helper", functools.partial(_draw_kick, key, kick)),
+            kick)
 
 
 @dataclass
@@ -284,25 +253,25 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     move.  A step that raises leaves the ensemble and its energy ledger as
     they were.
 
-    Once its candidates are drawn, the step starts the helper thread on
-    the draws of at least `_helper.MIN_SIZE` (2^15) elements that no
-    velocity decides: first the candidates' scattering normals (m >=
-    2^15 / 3), which the sweep waits for before its first accepted
-    collision, then the bath kick of step `ens.step_count + 1` (N >= 2^15 /
-    3), to be taken by the next step with the same (seed, step, N, scale)
-    key.  Both are drawn exactly as inline draws, so runs stay
-    bit-reproducible; a step holds one extra velocity array while it runs.
+    The collision stream gives, in this order, the candidate count m, the
+    pairs, the m accept variates and an (m, 2) array of direction uniforms;
+    the sweep turns an accepted candidate's row into its scattering
+    direction.  Once it has its own kick, the step starts the helper thread
+    on the bath kick of step `ens.step_count + 1` if that has at least
+    `_helper.MIN_SIZE` (2^15) elements (N >= 2^15 / 3), to be taken by the
+    next step with the same (seed, step, N, scale) key.  It is drawn exactly
+    as an inline kick, so runs stay bit-reproducible; a step holds one extra
+    velocity array while it runs.
     """
     n = ens.n
     dt = config.dt
 
     bath = 0.0
-    next_kick = None
     if config.mu > 0.0:
         key = (config.seed, ens.step_count, ens.velocities.shape,
                math.sqrt(2.0 * config.mu * dt))
-        next_kick = (key[0], key[1] + 1) + key[2:]
         vel = _bath_kick(key)
+        _draw_ahead((key[0], key[1] + 1) + key[2:])
         vel += ens.velocities
         bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
     else:
@@ -323,11 +292,9 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
         jj = rng.integers(0, n - 1, size=m)
         jj = jj + (jj >= ii)
         accept_u = rng.random(m)
-        normals = _draw_ahead(next_kick, rng, m)
+        dirs = rng.random((m, 2))
         accepted, loss = _kernels.apply_collisions(
-            vel, ii, jj, accept_u, normals, umax, model, vmax)
-    else:
-        _draw_ahead(next_kick)
+            vel, ii, jj, accept_u, dirs, umax, model, vmax)
 
     ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * accepted / n)
     if ens.step_count > 20 and ema > 0.2:

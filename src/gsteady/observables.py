@@ -46,8 +46,12 @@ def tail_integral(ensemble, a: float) -> TailReport:
     if not 0.0 <= a < np.inf:
         raise InputError("tail rate must be finite and non-negative")
     speeds = np.sqrt(_sq_speeds(ensemble))
-    weights = np.exp(a * speeds ** 1.5)
-    total = float(np.sum(weights))
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        weights = np.exp(a * speeds ** 1.5)
+        total = float(np.sum(weights))
+    if not total < np.inf:
+        raise InputError(f"tail weights exp(a |v|^(3/2)) sum to {total!r} at "
+                         f"a={a!r}: a speed is not finite or a is too large")
     return TailReport(a=a, value=total / len(weights),
                       max_share=float(np.max(weights)) / total)
 

@@ -26,8 +26,8 @@ P_SET = (1.0, 2.0, 3.0)
 
 def rescale_ensemble(ens: Ensemble, lam: float) -> Ensemble:
     """Divide every velocity by lam; clock and counters are preserved."""
-    if lam <= 0.0:
-        raise InputError("rescale factor must be positive")
+    if not 0.0 < lam < math.inf:
+        raise InputError("rescale factor must be finite and positive")
     return dataclasses.replace(ens, velocities=ens.velocities / lam)
 
 

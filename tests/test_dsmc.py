@@ -622,9 +622,9 @@ def _spy_helpers(monkeypatch):
 
 
 def _helper_starts_in_worker(*job):
-    """Run, in a pool worker, a step whose normals and kick are both above
-    the helper's threshold and a psi_e above its split threshold; return
-    the threshold and the threads started."""
+    """Run, in a pool worker, a step whose kick is above the helper's
+    threshold and a psi_e above its split threshold; return the threshold
+    and the threads started."""
     with pytest.MonkeyPatch.context() as patch:
         started, _ = _spy_helpers(patch)
         _stepped(_prefetch_config(dt=0.2), constant(0.6),
@@ -635,7 +635,7 @@ def _helper_starts_in_worker(*job):
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
-    """run_many's pool workers draw every kick, every normal and both psi_e
+    """run_many's pool workers draw every kick and evaluate both psi_e
     halves inline, with no thread started, whether or not the pool leaves a
     core free; the parent process keeps the helper."""
     monkeypatch.setattr(os, "sched_getaffinity",
@@ -646,7 +646,7 @@ def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
 
 
 def test_no_prefetch_below_threshold(monkeypatch):
-    """Below _helper.MIN_SIZE normals every kick is drawn inline, with no
+    """Below _helper.MIN_SIZE elements every kick is drawn inline, with no
     thread started; at the threshold each step starts one helper."""
     dsmc._drop_pending()
     started, _ = _spy_helpers(monkeypatch)
@@ -659,35 +659,22 @@ def test_no_prefetch_below_threshold(monkeypatch):
     assert started == ["gsteady-step-helper"] * 3
 
 
-# At N_PREFETCH and this dt a step has about 22k candidates, so 3m > 2^15 and
-# the helper draws the normals as well as the next kick.
-DT_HELPER_NORMALS = 0.2
-
-
 def _helper_run_config(**kw):
-    base = dict(dt=DT_HELPER_NORMALS, max_steps=10, window=2, sample_every=5,
+    base = dict(dt=0.2, max_steps=10, window=2, sample_every=5,
                 diss_pairs=3000)
     base.update(kw)
     return _prefetch_config(**base)
 
 
 def test_helper_draws_equal_inline_draws(monkeypatch):
-    """A run whose normals, kicks and psi_e halves come from the helper
-    equals, bit for bit, the same run with the pool-worker switch set, where
-    every draw and both halves are inline: the velocities, the ledger and
-    every series row, diss_estimate included."""
+    """A run whose kicks and psi_e halves come from the helper equals, bit
+    for bit, the same run with the pool-worker switch set, where every kick
+    and both halves are inline: the velocities, the ledger and every series
+    row, diss_estimate included."""
     cfg = _helper_run_config(seed=24)
     model = rescale(power_law(1.0, 0.2), 0.3)
     init = InitialCondition("maxwellian", t0=1.0)
     started, _ = _spy_helpers(monkeypatch)
-    lazy = []
-    sweep = dsmc._kernels.apply_collisions
-
-    def spy(vel, ii, jj, accept_u, normals, *rest):
-        lazy.append(callable(normals))
-        return sweep(vel, ii, jj, accept_u, normals, *rest)
-
-    monkeypatch.setattr(dsmc._kernels, "apply_collisions", spy)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
@@ -695,25 +682,21 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     dsmc._drop_pending()
-    assert lazy == [True] * cfg.max_steps
     assert set(started) == {"gsteady-step-helper", "gsteady-psi-half"}
     assert started.count("gsteady-step-helper") == cfg.max_steps
     monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
     _helper.run_inline()
     started.clear()
-    lazy.clear()
     inline = run_to_steady(cfg, model, init)
-    assert started == [] and lazy == [False] * cfg.max_steps
+    assert started == []
     _assert_runs_equal([helped], [inline])
     assert helped[1].series[-1][6] == inline[1].series[-1][6] > 0.0
 
 
 def test_violation_while_helper_draws(monkeypatch):
     """A step that raises MajorantViolation while the helper is still
-    drawing its normals leaves the ensemble as it was; retried, the run
-    ends as a clean one does."""
-    # Hot and long enough that the helper still draws the normals at a
-    # quarter of the majorant rate.
+    drawing the next step's kick leaves the ensemble as it was; retried, it
+    draws its own kick and the run ends as a clean one does."""
     cfg = _helper_run_config(seed=25, mu=0.05, dt=0.4)
     model = constant(0.5)
     init = InitialCondition("maxwellian", t0=4.0)
@@ -722,15 +705,15 @@ def test_violation_while_helper_draws(monkeypatch):
     ens = initial_ensemble(cfg, init)
     step(ens, cfg, model)
     before = _ledger_state(ens)
-    draw = dsmc._draw_normals
+    draw = dsmc._draw_kick
 
-    def slow_draw(rng, out, scale=1.0):
-        if scale == 1.0:  # the scattering normals, not a kick
+    def slow_draw(key, out):
+        if key[1] == 2:  # the kick the raising step starts on the helper
             time.sleep(0.3)
-        draw(rng, out, scale)
+        draw(key, out)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dsmc, "_draw_normals", slow_draw)
+        patch.setattr(dsmc, "_draw_kick", slow_draw)
         patch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
         with pytest.raises(MajorantViolation):
             step(ens, cfg, model)

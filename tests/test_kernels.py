@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from gsteady import _kernels, dsmc
 from gsteady.dsmc import EngineConfig, InitialCondition, initial_ensemble, step
@@ -38,11 +39,14 @@ def reference_e(model, r):
     return y ** 5
 
 
-def reference_sweep(vel, idx_i, idx_j, accept_u, normals, umax, model):
+def reference_sweep(vel, idx_i, idx_j, accept_u, dirs, umax, model):
     """One candidate at a time, in order: the sweep's defining semantics.
-    The raw normals are normalised as the engine normalises them."""
-    sigma = normals / np.maximum(
-        np.linalg.norm(normals, axis=1, keepdims=True), 1e-300)
+    Candidate k scatters along the direction of its uniforms dirs[k]:
+    c = 2 d0 - 1 is its z component and phi = 2 pi d1 its azimuth."""
+    c = 2.0 * dirs[:, 0] - 1.0
+    phi = 2.0 * math.pi * dirs[:, 1]
+    rho = np.sqrt(1.0 - c * c)
+    sigma = np.column_stack((rho * np.cos(phi), rho * np.sin(phi), c))
     accepted = 0
     loss = 0.0
     for k in range(idx_i.shape[0]):
@@ -115,6 +119,26 @@ def test_predecessors_match_last_seen_loop(m, n, self_share, seed):
     assert prev_j.tolist() == ref_j
 
 
+def test_sphere_directions_are_isotropic():
+    """The sweep's direction map turns pairs of uniforms into unit vectors
+    uniform on S^2: unit length to 1e-15, the mean within 5 standard errors
+    of 0, E[sigma sigma^T] within 5 standard errors of I/3, and the z
+    component c uniform on [-1, 1]."""
+    n = 200_000
+    sigma = _kernels.sphere_directions(np.random.default_rng(17).random((n, 2)))
+    assert sigma.shape == (n, 3)
+    assert np.max(np.abs(np.sqrt(np.sum(sigma * sigma, axis=1)) - 1.0)) <= 1e-15
+    se = sigma.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(sigma.mean(axis=0)) <= 5.0 * se)
+    outer = sigma[:, :, None] * sigma[:, None, :]
+    se = outer.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(outer.mean(axis=0) - np.eye(3) / 3.0) <= 5.0 * se)
+    assert stats.kstest(sigma[:, 2], "uniform", args=(-1.0, 2.0)).pvalue > 1e-3
+    # d0 = 0 gives the south pole whatever phi is, d0 = 1/2 the equator.
+    ends = _kernels.sphere_directions(np.array([[0.0, 0.3], [0.5, 0.0]]))
+    np.testing.assert_array_equal(ends, [[0.0, 0.0, -1.0], [1.0, 0.0, 0.0]])
+
+
 MODELS = {
     "elastic": elastic(),
     "constant": constant(0.5),
@@ -158,7 +182,7 @@ def _random_draw(rng, n, m, umax):
     ii = rng.integers(0, n, size=m)
     jj = rng.integers(0, n - 1, size=m)
     jj = jj + (jj >= ii)
-    return ii, jj, rng.random(m), rng.normal(size=(m, 3)), umax
+    return ii, jj, rng.random(m), rng.random((m, 2)), umax
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -178,13 +202,10 @@ def test_sweep_matches_reference_on_engine_draw(name, monkeypatch):
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.5))
     step(ens, cfg, MODELS[name])
     assert captured["vmax"] == _vmax(captured["vel"])
-    # At this N the helper thread draws the normals, and the step hands
-    # the sweep a callable that waits for them.
-    ii, jj, accept_u, normals, umax = captured["draw"]
-    assert callable(normals)
-    accepted, _ = _compare(name, captured["vel"],
-                           (ii, jj, accept_u, normals(), umax))
-    assert 1000 < accepted < len(captured["draw"][0])
+    ii, jj, accept_u, dirs, umax = captured["draw"]
+    assert dirs.shape == (len(ii), 2)
+    accepted, _ = _compare(name, captured["vel"], captured["draw"])
+    assert 1000 < accepted < len(ii)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
@@ -195,9 +216,9 @@ def test_sweep_matches_reference_on_long_chain(name):
     vel = rng.normal(size=(n, 3))
     # No particle is faster than sqrt(E), so no pair ever exceeds umax.
     umax = 2.0 * math.sqrt(float(np.sum(vel * vel)))
-    ii, jj, accept_u, normals, _ = _random_draw(rng, n, m, umax)
+    ii, jj, accept_u, dirs, _ = _random_draw(rng, n, m, umax)
     jj[::37] = ii[::37]  # self-pairs have zero relative speed and do nothing
-    accepted, _ = _compare(name, vel, (ii, jj, accept_u, normals, umax))
+    accepted, _ = _compare(name, vel, (ii, jj, accept_u, dirs, umax))
     assert accepted > 20
 
 
@@ -210,11 +231,11 @@ def test_sweep_reports_first_violation(name):
     vel[:6] = 0.5 * rng.normal(size=(6, 3))
     vel[6:] = 10.0 * np.eye(3)  # particles 6, 7, 8 are too fast for umax
     pairs = np.array([(0, 1), (0, 1), (0, 6), (2, 3), (4, 7), (2, 5), (5, 8)])
-    normals = rng.normal(size=(len(pairs), 3))
+    dirs = rng.random((len(pairs), 2))
     # The first three pairs violate only on the third round, after two
     # collisions; all seven violate on the first round as well.
     for m in (3, 7):
-        draw = (pairs[:m, 0], pairs[:m, 1], np.zeros(m), normals[:m], 5.0)
+        draw = (pairs[:m, 0], pairs[:m, 1], np.zeros(m), dirs[:m], 5.0)
         assert _compare(name, vel, draw) is None
 
 
@@ -226,11 +247,12 @@ def test_sweep_reruns_when_a_collision_beats_the_speed_bound(name):
     vel = np.array([[1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0],
                     [-0.7, -0.7, 0.0]])
-    # Candidate 0 sends particle 0 to (1, 1, 0) when elastic, (1, 0.75, 0)
-    # at e = 0.5.  Candidate 1 then has |u| = 2.40 or 2.23 against a
-    # threshold of 0.555 umax = 2.22, above twice the bound.
+    # Candidate 0 scatters along (1, 1, 0) / sqrt(2) (c = 0, phi = pi / 4)
+    # and sends particle 0 to (1, 1, 0) when elastic, (1, 0.75, 0) at
+    # e = 0.5.  Candidate 1 then has |u| = 2.40 or 2.23 against a threshold
+    # of 0.555 umax = 2.22, above twice the bound.
     draw = (np.array([0, 0]), np.array([1, 2]), np.array([0.0, 0.555]),
-            np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 4.0 * _vmax(vel))
+            np.array([[0.5, 0.125], [0.5, 0.0]]), 4.0 * _vmax(vel))
     assert 0.555 * draw[4] > 2.0 * (1.0 + 1e-12) * _kernels._SPEED_BOUND
     accepted, _ = _compare(name, vel, draw)
     assert accepted == 2

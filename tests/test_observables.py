@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,3 +117,18 @@ def test_tail_rejects_non_finite_rate(a):
     vel = np.random.default_rng(2).normal(size=(50, 3))
     with pytest.raises(InputError, match="finite"):
         tail_integral(vel, a)
+
+
+def test_tail_rejects_overflowing_weights():
+    """At a=1000 the weights exp(a |v|^{3/2}) of an N(0, 1) sample
+    overflow; the sum is refused instead of read as value=inf,
+    max_share=nan, and no overflow warning escapes."""
+    vel = np.random.default_rng(2).normal(size=(100, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="tail weights"):
+            tail_integral(vel, 1000.0)
+    # A sample the old code read as NaN: a non-finite speed.
+    vel[7, 1] = np.nan
+    with pytest.raises(InputError, match="tail weights"):
+        tail_integral(vel, 0.1)

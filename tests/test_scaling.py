@@ -33,6 +33,16 @@ def test_rescale_ensemble_moments():
         rescale_ensemble(ens, 0.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_rescale_ensemble_rejects_bad_factor(lam):
+    """A NaN factor would turn every velocity into NaN, and an infinite one
+    every velocity into 0."""
+    cfg = EngineConfig(n=100, dt=0.01, mu=0.1, seed=4)
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    with pytest.raises(InputError, match="finite and positive"):
+        rescale_ensemble(ens, lam)
+
+
 def test_equivalence_smoke_lambda_one():
     cfg = EngineConfig(n=1500, dt=0.02, mu=1.0, seed=0, max_steps=1500,
                        window=40, sample_every=5, diss_pairs=5000, tol=0.02)
