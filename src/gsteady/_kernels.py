@@ -4,11 +4,16 @@ The sweep runs in rounds (see `apply_collisions`); it makes the same accept
 decisions as a one-candidate-at-a-time loop and differs from it only where
 numpy's `pow` rounds differently from libm's.
 
-The majorant U_max = 4 max|v| (`dsmc._UMAX_FACTOR`) has a factor-2 margin:
-within one step max|v| grows by a few percent at most.  The sweep spends
-that margin on speed without changing what it decides: while no speed
-exceeds `_SPEED_BOUND * max|v|`, a candidate whose accept threshold is above
-twice that bound is sure to be rejected, so it never enters a round.
+Thinning is exact for any majorant U_max that bounds every pairwise speed
+the sweep meets (Rjasanow & Wagner 2005, chs. 3-4).  The engine takes
+U_max = 2.5 max|v| (`dsmc._UMAX_FACTOR` = 1.25), with max|v| read before the
+sweep.  A collision dissipates energy, so it leaves each of its particles at
+most sqrt(2) max|v| fast, and such a particle meets one that has not collided
+at |u| <= (1 + sqrt 2) max|v| = 2.414 max|v|.  The factor must stay above
+(1 + sqrt 2)/2 = 1.207 for that one-collision bound; 1.25 sits above it.
+Only further collisions in the same step can beat U_max, and a pair that
+does raises `MajorantViolation`.  In steady runs of all three laws
+(BENCH_one_pass_sweep.json) the fastest pair met was 0.76 U_max.
 """
 
 import math
@@ -18,13 +23,6 @@ import numpy as np
 from .errors import MajorantViolation
 from .kinematics import _dot, sigma_collision
 from .restitution import RestitutionModel
-
-# The sweep assumes every speed stays at or below _SPEED_BOUND * max|v|,
-# skips the candidates that assumption rejects, checks it after each round,
-# and undoes its rounds and reruns without it when the check fails.  Any
-# factor in (1, _UMAX_FACTOR) gives the same result; the factor sets only how
-# many candidates are skipped and how often the rerun happens.
-_SPEED_BOUND = 1.1
 
 
 def _predecessors(idx_i, idx_j):
@@ -69,23 +67,18 @@ def sphere_directions(dirs):
 
 
 def apply_collisions(vel, idx_i, idx_j, accept_u, dirs, umax,
-                     model: RestitutionModel, vmax):
+                     model: RestitutionModel):
     """Thin candidate pairs and apply accepted collisions in candidate order.
 
     dirs holds each candidate's two direction uniforms, an (m, 2) array;
     only the accepted rows are mapped to a scattering direction
     (`sphere_directions`), so a candidate's direction does not depend on
-    the round that takes it.  vmax must be max|v| over vel.
+    the round that takes it.
 
     Each round takes every pending candidate whose previous candidates on i
     and on j are both done.  Candidates of one round touch disjoint
     particles, and each sees the velocities the one-at-a-time loop would
-    give it.
-
-    The first pass leaves out the candidates that are sure to be rejected
-    while no speed exceeds `_SPEED_BOUND * vmax`.  If a round writes a faster
-    (or NaN) speed, the pass undoes its rounds in reverse order and the
-    sweep reruns over every candidate with no bound.
+    give it.  The sweep is one pass over every candidate.
 
     Mutates vel in place.  Returns (accepted, energy_loss).  Raises
     MajorantViolation at the first round that holds a pair whose relative
@@ -97,63 +90,36 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, dirs, umax,
         return 0, 0.0
     # The accept test's threshold, computed once as the test computes it.
     thresh = accept_u * umax
-    for bound in (_SPEED_BOUND * vmax, math.inf):
-        # With no speed above bound, |u| <= 2 bound: a candidate whose
-        # threshold is above that is rejected, and cannot raise since
-        # thresh < umax.  The 1e-12 covers the rounding in |u|.  The rerun,
-        # with an infinite bound, keeps every candidate.
-        cand = np.flatnonzero(thresh < 2.0 * (1.0 + 1e-12) * bound)
-        ci = idx_i.take(cand)
-        cj = idx_j.take(cand)
-        ct = thresh.take(cand)
-        mc = cand.size
-        prev_i, prev_j = _predecessors(ci, cj)
-        done = np.zeros(mc + 1, dtype=bool)
-        done[mc] = True
-        pending = np.arange(mc)
-        terms = np.zeros(m)
-        accepted = 0
-        undo = []
-        while pending.size:
-            ready = done.take(prev_i.take(pending))
-            ready &= done.take(prev_j.take(pending))
-            ks = pending[ready]
-            pending = pending[~ready]
-            done[ks] = True
-            i = ci.take(ks)
-            j = cj.take(ks)
-            vi = vel.take(i, axis=0)
-            vj = vel.take(j, axis=0)
-            u = vi - vj
-            un = np.sqrt(_dot(u, u))
-            if np.any(un > umax):
-                raise MajorantViolation("pairwise speed exceeded U_max")
-            # Negated skip test, so a NaN speed collides as in the scalar loop.
-            hit = np.flatnonzero(~((un <= 0.0) | (ct.take(ks) >= un)))
-            if not hit.size:
-                continue
-            ks = cand.take(ks.take(hit))
-            sigma = sphere_directions(dirs.take(ks, axis=0))
-            h, terms[ks] = sigma_collision(u.take(hit, axis=0), sigma, model)
-            i, j = i.take(hit), j.take(hit)
-            vi, vj = vi.take(hit, axis=0), vj.take(hit, axis=0)
-            wi = vi - h
-            wj = vj + h
-            vel[i] = wi
-            vel[j] = wj
-            accepted += ks.size
-            if bound < math.inf:
-                undo.append((i, j, vi, vj))
-                # Compared as a speed, so that neither NaN nor an overflowed
-                # square passes.
-                peak = np.sqrt(np.maximum(_dot(wi, wi).max(),
-                                          _dot(wj, wj).max()))
-                if not peak <= bound:
-                    for i, j, vi, vj in reversed(undo):
-                        vel[i] = vi
-                        vel[j] = vj
-                    break
-        else:
-            # No round broke the bound.  The loss is accumulated in
-            # candidate order, as the sequential sweep adds it.
-            return accepted, float(np.cumsum(terms)[-1])
+    prev_i, prev_j = _predecessors(idx_i, idx_j)
+    done = np.zeros(m + 1, dtype=bool)
+    done[m] = True
+    pending = np.arange(m)
+    terms = np.zeros(m)
+    accepted = 0
+    while pending.size:
+        ready = done.take(prev_i.take(pending))
+        ready &= done.take(prev_j.take(pending))
+        ks = pending[ready]
+        pending = pending[~ready]
+        done[ks] = True
+        i = idx_i.take(ks)
+        j = idx_j.take(ks)
+        vi = vel.take(i, axis=0)
+        vj = vel.take(j, axis=0)
+        u = vi - vj
+        un = np.sqrt(_dot(u, u))
+        if np.any(un > umax):
+            raise MajorantViolation("pairwise speed exceeded U_max")
+        # Negated skip test, so a NaN speed collides as in the scalar loop.
+        hit = np.flatnonzero(~((un <= 0.0) | (thresh.take(ks) >= un)))
+        if not hit.size:
+            continue
+        ks = ks.take(hit)
+        sigma = sphere_directions(dirs.take(ks, axis=0))
+        h, terms[ks] = sigma_collision(u.take(hit, axis=0), sigma, model)
+        vel[i.take(hit)] = vi.take(hit, axis=0) - h
+        vel[j.take(hit)] = vj.take(hit, axis=0) + h
+        accepted += ks.size
+    # The loss is accumulated in candidate order, as the sequential sweep
+    # adds it.
+    return accepted, float(np.cumsum(terms)[-1])

@@ -37,12 +37,12 @@ _STREAM_COLLIDE = 1
 _STREAM_INIT = 2
 _STREAM_DIAG = 3
 
-# The majorant rate is U_max = _UMAX_FACTOR * 2 max|v|.  Every pairwise speed
-# has |u| <= 2 max|v|, so any factor above 1 is a majorant; changing the
-# factor changes every trajectory.  The sweep spends the margin above 1 on
-# speed (`_kernels._SPEED_BOUND`): it skips the candidates it is sure to
-# reject, which changes no trajectory.
-_UMAX_FACTOR = 2.0
+# The majorant rate is U_max = _UMAX_FACTOR * 2 max|v|, max|v| taken after the
+# kick.  A collision dissipates energy, so a particle it speeds up meets one
+# that has not collided at |u| <= (1 + sqrt 2) max|v|: the factor must stay
+# above (1 + sqrt 2)/2 = 1.207 for that one-collision bound, and 1.25 sits
+# above it (see `_kernels`).  Changing the factor changes every trajectory.
+_UMAX_FACTOR = 1.25
 
 SNAPSHOT_MAGIC = "GSTEADY2"
 # Ensemble fields a snapshot carries besides N, as (ints, floats): the clock,
@@ -294,7 +294,7 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
         accept_u = rng.random(m)
         dirs = rng.random((m, 2))
         accepted, loss = _kernels.apply_collisions(
-            vel, ii, jj, accept_u, dirs, umax, model, vmax)
+            vel, ii, jj, accept_u, dirs, umax, model)
 
     ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * accepted / n)
     if ens.step_count > 20 and ema > 0.2:

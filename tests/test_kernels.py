@@ -164,9 +164,9 @@ def _compare(name, vel, draw):
     if ref[2]:
         # The step is discarded: no counts or velocities to compare.
         with pytest.raises(MajorantViolation):
-            _kernels.apply_collisions(new_vel, *draw, model, _vmax(vel))
+            _kernels.apply_collisions(new_vel, *draw, model)
         return None
-    out = _kernels.apply_collisions(new_vel, *draw, model, _vmax(vel))
+    out = _kernels.apply_collisions(new_vel, *draw, model)
     assert out[0] == ref[0]
     if name in EXACT:
         assert out[1] == ref[1]
@@ -191,18 +191,17 @@ def test_sweep_matches_reference_on_engine_draw(name, monkeypatch):
     captured = {}
     real = _kernels.apply_collisions
 
-    def spy(vel, *draw_model_vmax):
+    def spy(vel, *draw_model):
         captured["vel"] = vel.copy()
-        captured["draw"] = draw_model_vmax[:5]
-        captured["vmax"] = draw_model_vmax[6]
-        return real(vel, *draw_model_vmax)
+        captured["draw"] = draw_model[:5]
+        return real(vel, *draw_model)
 
     monkeypatch.setattr(dsmc._kernels, "apply_collisions", spy)
     cfg = EngineConfig(n=100_000, dt=0.04, mu=0.1 ** 0.2, seed=5)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.5))
     step(ens, cfg, MODELS[name])
-    assert captured["vmax"] == _vmax(captured["vel"])
     ii, jj, accept_u, dirs, umax = captured["draw"]
+    assert umax == 2.0 * dsmc._UMAX_FACTOR * _vmax(captured["vel"])
     assert dirs.shape == (len(ii), 2)
     accepted, _ = _compare(name, captured["vel"], captured["draw"])
     assert 1000 < accepted < len(ii)
@@ -240,34 +239,49 @@ def test_sweep_reports_first_violation(name):
 
 
 @pytest.mark.parametrize("name", ["elastic", "constant"])
-def test_sweep_reruns_when_a_collision_beats_the_speed_bound(name):
-    """A collision lifts a particle above the sweep's speed bound
-    1.1 max|v|, and a later candidate whose accept threshold the bound
-    would reject is then accepted."""
+def test_sweep_holds_the_one_collision_bound(name):
+    """A collision lifts a particle to at most sqrt(2) max|v|, and it then
+    meets a particle that has not collided at |u| <= (1 + sqrt 2) max|v|,
+    with equality when elastic: the engine's majorant covers that pair, a
+    factor of 1.2, below (1 + sqrt 2)/2, does not cover the elastic one,
+    and a majorant just below |u| raises for either law."""
     vel = np.array([[1.0, 0.0, 0.0],
                     [0.0, 1.0, 0.0],
-                    [-0.7, -0.7, 0.0]])
-    # Candidate 0 scatters along (1, 1, 0) / sqrt(2) (c = 0, phi = pi / 4)
-    # and sends particle 0 to (1, 1, 0) when elastic, (1, 0.75, 0) at
-    # e = 0.5.  Candidate 1 then has |u| = 2.40 or 2.23 against a threshold
-    # of 0.555 umax = 2.22, above twice the bound.
-    draw = (np.array([0, 0]), np.array([1, 2]), np.array([0.0, 0.555]),
-            np.array([[0.5, 0.125], [0.5, 0.0]]), 4.0 * _vmax(vel))
-    assert 0.555 * draw[4] > 2.0 * (1.0 + 1e-12) * _kernels._SPEED_BOUND
-    accepted, _ = _compare(name, vel, draw)
+                    [-1.0, -1.0, 0.0]])
+    vel[2] /= math.sqrt(2.0)
+    # Candidate 0 meets orthogonally and scatters along (1, 1, 0) / sqrt(2)
+    # (c = 0, phi = pi / 4), which sends particle 0 to (1, b, 0) with
+    # b = (1 + e) / 2: (1, 1, 0) when elastic, (1, 0.75, 0) at e = 0.5.
+    draw = (np.array([0, 0]), np.array([1, 2]), np.zeros(2),
+             np.array([[0.5, 0.125], [0.5, 0.0]]))
+    vmax = _vmax(vel)
+    assert vmax == 1.0
+    b = 0.5 * (1.0 + reference_e(MODELS[name], math.sqrt(2.0)))
+    h = 1.0 / math.sqrt(2.0)
+    w = math.hypot(1.0 + h, b + h)
+    assert w <= (1.0 + 1e-12) * (1.0 + math.sqrt(2.0)) * vmax
+    if name == "elastic":
+        assert math.isclose(w, 1.0 + math.sqrt(2.0))
+    accepted, _ = _compare(
+        name, vel, draw + (2.0 * dsmc._UMAX_FACTOR * vmax,))
     assert accepted == 2
+    at_1_2 = _compare(name, vel, draw + (2.0 * 1.2 * vmax,))
+    assert (at_1_2 is None) == (w > 2.4 * vmax)
+    assert _compare(name, vel, draw + ((1.0 - 1e-9) * w,)) is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(MODELS)), n=st.integers(2, 6),
        m=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
 def test_sweep_matches_reference_property(name, n, m, seed):
-    """Few particles and the engine's umax = 4 max|v|: collisions often
-    beat the speed bound, and the sweep must still match the one-at-a-time
+    """Few particles and the engine's umax = 2 _UMAX_FACTOR max|v|: each
+    particle collides many times in one draw, so speeds often outgrow the
+    one-collision bound, and the sweep must still match the one-at-a-time
     loop (or raise where it raises)."""
     rng = np.random.default_rng(seed)
     vel = rng.normal(size=(n, 3))
-    _compare(name, vel, _random_draw(rng, n, m, 4.0 * _vmax(vel)))
+    umax = 2.0 * dsmc._UMAX_FACTOR * _vmax(vel)
+    _compare(name, vel, _random_draw(rng, n, m, umax))
 
 
 def test_viscoelastic_vec_matches_scalar():
