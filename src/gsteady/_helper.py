@@ -1,10 +1,12 @@
 """The helper thread: work whose inputs are ready and whose result the caller
 needs only later runs on a second core while the caller goes on.
 
-Numpy leaves the interpreter lock free inside its large loops, so a helper
+Numpy leaves the interpreter lock free inside its large loops, so a task
 that draws random numbers or evaluates a law on a block of rows runs beside
-the caller's own numpy work.  At most one helper runs at a time in a
-process: starting one first waits for the one before, and so does a fork.
+the caller's own numpy work.  A process has one long-lived helper thread,
+the worker of a one-thread executor that the first `submit` starts; it runs
+the tasks one at a time, in the order they were submitted.  A fork first
+waits for every queued task, and the child starts its own helper thread.
 """
 
 from __future__ import annotations
@@ -12,56 +14,43 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 
-# Work on fewer elements runs inline: starting and joining a thread costs
-# about 50 us, more than the overlap saves on a small draw.
+# Work on fewer elements runs inline: handing a task to the running helper
+# and taking its result costs 40-50 us on a 2-core x86_64 host (starting and
+# joining a new thread cost 100-145 us), more than the overlap saves on a
+# small draw.
 MIN_SIZE = 1 << 15
 
-_current: Helper | None = None
+_pool: ThreadPoolExecutor | None = None
 
 
-class Helper:
-    """Run one task (a zero-argument callable) on a new thread.
-
-    The task runs in a copy of the caller's context, so numpy's error state
-    (`np.errstate`) is the caller's.  An exception the task raises is raised
-    again by `wait`.
-    """
-
-    def __init__(self, name: str, task):
-        global _current
-        join()
-        self._error = None
-        # Non-daemon, so interpreter exit never stops it inside numpy.
-        self._thread = threading.Thread(
-            target=self._run, args=(contextvars.copy_context(), task),
-            name=name)
-        self._thread.start()
-        _current = self
-
-    def _run(self, context, task) -> None:
-        try:
-            context.run(task)
-        except BaseException as exc:  # raised again in the waiting caller
-            self._error = exc
-
-    def wait(self) -> None:
-        """Wait until the task is done; raise what it raised."""
-        self._thread.join()
-        if self._error is not None:
-            raise self._error
+def submit(fn, *args) -> Future:
+    """Queue fn(*args) on the helper thread; the future's `result()` waits
+    for it and raises what it raised.  The task runs in a copy of the
+    caller's context, so numpy's error state (`np.errstate`) is the
+    caller's."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(1, thread_name_prefix="gsteady-helper")
+    return _pool.submit(contextvars.copy_context().run, fn, *args)
 
 
 def join() -> None:
-    """Wait until the helper thread, if one was started, has ended."""
-    if _current is not None:
-        _current._thread.join()
+    """Wait until every task submitted so far has run."""
+    if _pool is not None:
+        _pool.submit(lambda: None).result()
 
 
-# A fork while a helper runs would leave the child half-filled buffers and
-# no thread to finish them; joined first, they are valid in both processes.
-os.register_at_fork(before=join)
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# A fork while a task runs would leave the child half-filled buffers and no
+# thread to finish them; joined first, they are valid in both processes.  The
+# child has no helper thread, so its first submit starts a pool of its own.
+os.register_at_fork(before=join, after_in_child=_forget_pool)
 
 
 def run_inline() -> None:

@@ -11,7 +11,6 @@ which fixes the temperature of the quasi-elastic limit Maxwellian.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,11 @@ from .restitution import RestitutionModel, e_of_s
 # took 21.5 ns per element at 256 and at 512 rows, and 31 ns at 1024 rows,
 # where its arrays outgrow the cache.  From two blocks and _helper.MIN_SIZE
 # law evaluations (rows x 64 nodes) on, psi_e splits its blocks at a block
-# boundary, and the helper thread evaluates the second half while the caller
-# does the first.  Fewer blocks leave the two threads less often waiting for
-# the interpreter lock: on 10,000 viscoelastic pairs a split call took
-# 14.8 ms at 256 rows, 11.0 ms at 512 and 13.3 ms at 1024.
+# boundary, queues the second half on the long-lived helper thread and does
+# the first meanwhile (a fork waits for the queued half; a forked child
+# starts a helper thread of its own).  Fewer blocks leave the two threads
+# less often waiting for the interpreter lock: on 10,000 viscoelastic pairs
+# a split call took 14.8 ms at 256 rows, 11.0 ms at 512 and 13.3 ms at 1024.
 PSI_BLOCK = 512
 
 
@@ -91,11 +91,10 @@ def psi_e(spec: DissipationSpec, r):
     if blocks >= 2 and flat.size * spec._z3w.size >= _helper.MIN_SIZE:
         mid = blocks // 2 * PSI_BLOCK
         # Allocated here: a thread that allocates takes its own malloc arena.
-        half = _helper.Helper("gsteady-psi-half", functools.partial(
-            _psi_blocks, spec, flat, out, np.empty_like(scratch), mid,
-            flat.size))
+        half = _helper.submit(_psi_blocks, spec, flat, out,
+                              np.empty_like(scratch), mid, flat.size)
         _psi_blocks(spec, flat, out, scratch, 0, mid)
-        half.wait()
+        half.result()
     else:
         _psi_blocks(spec, flat, out, scratch, 0, flat.size)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -10,16 +10,16 @@ through run_many, which spreads them over a fork process pool.
 
 Each candidate draws two uniforms for its scattering direction from the
 collision stream, and the sweep turns only the accepted candidates' pairs
-of uniforms into unit vectors.  The next step's bath kick is a function of (seed, step, N,
-its scale) alone: once a step has its own kick, it starts the next one on
-the helper thread (`_draw_ahead`) and runs meanwhile, and the next step
-takes it if its key matches.  The kick holds the same numbers as an inline
-one, so the helper changes no trajectory bit.
+of uniforms into unit vectors.  The next step's bath kick is a function of
+(seed, step, N, its scale) alone: once a step has its own kick, it queues
+the next one on the process's one long-lived helper thread (`_draw_ahead`)
+and runs meanwhile, and the next step takes it if its key matches.  The
+kick holds the same numbers as an inline one, so the helper changes no
+trajectory bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -58,7 +58,7 @@ def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (step << 2) | substream]))
 
 
-# The one pending prefetched kick, {key: (helper, buffer)}.  A kick is a pure
+# The one pending prefetched kick, {key: (future, buffer)}.  A kick is a pure
 # function of its key, so a hit is correct for any caller: two ensembles, a
 # resumed snapshot or a retried step need no bookkeeping.
 _pending: dict = {}
@@ -89,22 +89,21 @@ def _bath_kick(key) -> np.ndarray:
         kick = np.empty(key[2])
         _draw_kick(key, kick)
     else:
-        helper, kick = hit
-        helper.wait()
+        future, kick = hit
+        future.result()
     return kick
 
 
 def _draw_ahead(key) -> None:
-    """Start the bath kick of key (seed, step, shape, scale) on the helper
+    """Queue the bath kick of key (seed, step, shape, scale) on the helper
     thread, into the pending slot, if it has `_helper.MIN_SIZE` elements or
-    more; a smaller kick is drawn by the step that needs it.  The buffer is
-    allocated here: a thread that allocates grows the peak RSS by more than
-    the array (glibc gives threads their own arenas)."""
+    more; a smaller kick is drawn by the step that needs it.  Once the
+    thread runs, this costs a queue put, not a thread start.  The buffer is
+    allocated here: a thread that allocates grows the peak RSS by more
+    than the array (glibc gives threads their own arenas)."""
     if math.prod(key[2]) >= _helper.MIN_SIZE:
         kick = np.empty(key[2])
-        _pending[key] = (_helper.Helper(
-            "gsteady-step-helper", functools.partial(_draw_kick, key, kick)),
-            kick)
+        _pending[key] = (_helper.submit(_draw_kick, key, kick), kick)
 
 
 @dataclass
@@ -256,8 +255,8 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     The collision stream gives, in this order, the candidate count m, the
     pairs, the m accept variates and an (m, 2) array of direction uniforms;
     the sweep turns an accepted candidate's row into its scattering
-    direction.  Once it has its own kick, the step starts the helper thread
-    on the bath kick of step `ens.step_count + 1` if that has at least
+    direction.  Once it has its own kick, the step queues the bath kick of
+    step `ens.step_count + 1` on the helper thread if that has at least
     `_helper.MIN_SIZE` (2^15) elements (N >= 2^15 / 3), to be taken by the
     next step with the same (seed, step, N, scale) key.  It is drawn exactly
     as an inline kick, so runs stay bit-reproducible; a step holds one extra
@@ -391,10 +390,11 @@ def run_many(jobs) -> list:
     most one per job), or in this process when that is one worker or the
     platform cannot fork.  Each run depends only on its job, so the results
     are bit-identical for any worker count; a worker's exception reaches the
-    caller with its original type.  The workers use no helper thread
-    (`_helper.run_inline`): on a 2-core host, eight N=2e4 runs in two
-    workers took 11.1-11.2 s that way, and 11.7-11.9 s with a bath-kick
-    prefetch thread in each worker.
+    caller with its original type.  A fork first waits for the tasks queued
+    on this process's helper thread, and a child would start a helper
+    thread of its own; the workers use none (`_helper.run_inline`): on a
+    2-core host, eight N=2e4 runs in two workers took 11.1-11.2 s that way,
+    and 11.7-11.9 s with a bath-kick prefetch thread in each worker.
     """
     jobs = list(jobs)
     workers = min(_usable_cores(), len(jobs))

@@ -1,5 +1,4 @@
 import math
-import threading
 import tracemalloc
 import warnings
 
@@ -262,24 +261,24 @@ def test_psi_e_split_equals_serial_blocks(model, monkeypatch):
     evaluates the second half of the blocks.  Every value equals the serial
     block loop's (the pool workers' path) bit for bit."""
     started = []
+    submit = _helper.submit
 
-    class SpyThread(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
+    def spy(fn, *args):
+        started.append(fn.__name__)
+        return submit(fn, *args)
 
-    monkeypatch.setattr(_helper.threading, "Thread", SpyThread)
+    monkeypatch.setattr(_helper, "submit", spy)
     spec = DissipationSpec(model)
     r = np.random.default_rng(6).exponential(2.0, size=3 * SPLIT_ROWS)
     sizes = (SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 2 * SPLIT_ROWS + 37)
     assert sizes[-1] % PSI_BLOCK != 0
     split = [psi_e(spec, r[:n]) for n in sizes]
-    assert started == ["gsteady-psi-half"] * 3
+    assert started == ["_psi_blocks"] * 3
     monkeypatch.setattr(_helper, "MIN_SIZE", math.inf)
     for n, got in zip(sizes, split):
         np.testing.assert_array_equal(got.view(np.int64),
                                       psi_e(spec, r[:n]).view(np.int64))
-    assert started == ["gsteady-psi-half"] * 3
+    assert started == ["_psi_blocks"] * 3
 
 
 def test_psi_e_split_keeps_caller_error_state():

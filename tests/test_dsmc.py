@@ -1,8 +1,11 @@
 import copy
 import dataclasses
+import hashlib
 import math
 import os
 import re
+import select
+import signal
 import sys
 import threading
 import time
@@ -606,48 +609,55 @@ def test_run_many_while_prefetch_pending(monkeypatch):
 
 
 def _spy_helpers(monkeypatch):
-    """Record the name of every thread started from now on, and the number
-    of gsteady helper threads alive just after each start."""
-    started, alive = [], []
+    """Record the name of every task submitted to the helper from now on,
+    and, as each task runs, its thread's ident and name and the number of
+    gsteady helper threads alive."""
+    started, ran = [], []
+    submit = _helper.submit
 
-    class SpyThread(threading.Thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-            alive.append(sum(t.name.startswith("gsteady")
-                             for t in threading.enumerate()))
+    def spy(fn, *args):
+        started.append(fn.__name__)
 
-    monkeypatch.setattr(_helper.threading, "Thread", SpyThread)
-    return started, alive
+        def task():
+            ran.append((threading.get_ident(), threading.current_thread().name,
+                        sum(t.name.startswith("gsteady")
+                            for t in threading.enumerate())))
+            fn(*args)
+
+        return submit(task)
+
+    monkeypatch.setattr(_helper, "submit", spy)
+    return started, ran
 
 
 def _helper_starts_in_worker(*job):
     """Run, in a pool worker, a step whose kick is above the helper's
-    threshold and a psi_e above its split threshold; return the threshold
-    and the threads started."""
+    threshold and a psi_e above its split threshold; return the threshold,
+    the tasks submitted and whether the worker has no helper pool."""
     with pytest.MonkeyPatch.context() as patch:
         started, _ = _spy_helpers(patch)
         _stepped(_prefetch_config(dt=0.2), constant(0.6),
                  InitialCondition("maxwellian", t0=1.0), 1)
         psi_e(DissipationSpec(constant(0.6)), np.ones(4 * 256))
-    return _helper.MIN_SIZE, started
+    return _helper.MIN_SIZE, started, _helper._pool is None
 
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
     """run_many's pool workers draw every kick and evaluate both psi_e
-    halves inline, with no thread started, whether or not the pool leaves a
-    core free; the parent process keeps the helper."""
+    halves inline, with no task submitted and no helper thread started,
+    whether or not the pool leaves a core free; the parent process keeps
+    the helper."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(dsmc, "run_to_steady", _helper_starts_in_worker)
-    assert run_many(_jobs()[:2]) == [(math.inf, [])] * 2
+    assert run_many(_jobs()[:2]) == [(math.inf, [], True)] * 2
     assert _helper.MIN_SIZE == 1 << 15
 
 
 def test_no_prefetch_below_threshold(monkeypatch):
     """Below _helper.MIN_SIZE elements every kick is drawn inline, with no
-    thread started; at the threshold each step starts one helper."""
+    task submitted; at the threshold each step submits one kick draw."""
     dsmc._drop_pending()
     started, _ = _spy_helpers(monkeypatch)
     model = constant(0.6)
@@ -656,7 +666,7 @@ def test_no_prefetch_below_threshold(monkeypatch):
     assert started == [] and dsmc._pending == {}
     _stepped(_prefetch_config(), model, init, 3)
     dsmc._drop_pending()
-    assert started == ["gsteady-step-helper"] * 3
+    assert started == ["_draw_kick"] * 3
 
 
 def _helper_run_config(**kw):
@@ -682,8 +692,8 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     dsmc._drop_pending()
-    assert set(started) == {"gsteady-step-helper", "gsteady-psi-half"}
-    assert started.count("gsteady-step-helper") == cfg.max_steps
+    assert set(started) == {"_draw_kick", "_psi_blocks"}
+    assert started.count("_draw_kick") == cfg.max_steps
     monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
     _helper.run_inline()
     started.clear()
@@ -717,10 +727,9 @@ def test_violation_while_helper_draws(monkeypatch):
         patch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
         with pytest.raises(MajorantViolation):
             step(ens, cfg, model)
-        thread = _helper._current._thread
-        assert thread.is_alive()
-    thread.join(timeout=30.0)
-    assert not thread.is_alive()
+        [(pending, _)] = dsmc._pending.values()
+        assert not pending.done()
+    pending.result(timeout=30.0)
     after = _ledger_state(ens)
     np.testing.assert_array_equal(after[0], before[0])
     assert after[1:] == before[1:]
@@ -731,10 +740,50 @@ def test_violation_while_helper_draws(monkeypatch):
 
 
 def test_at_most_one_helper_alive(monkeypatch):
-    """However the step's helper and the psi_e halves interleave in a run,
-    no more than one gsteady helper thread is alive beside the caller."""
-    _, alive = _spy_helpers(monkeypatch)
+    """However the step's kick draws and the psi_e halves interleave in a
+    run, every task runs on one thread, the gsteady helper, and no other
+    gsteady thread is ever alive beside it."""
+    started, ran = _spy_helpers(monkeypatch)
     run_to_steady(_helper_run_config(seed=26), viscoelastic(1.0),
                   InitialCondition("maxwellian", t0=1.0))
     dsmc._drop_pending()
-    assert len(alive) > 10 and max(alive) == 1
+    assert len(ran) == len(started) > 10
+    assert len({ident for ident, _, _ in ran}) == 1
+    assert {name.startswith("gsteady-helper") for _, name, _ in ran} == {True}
+    assert {alive for _, _, alive in ran} == {1}
+
+
+def test_forked_child_starts_its_own_helper():
+    """A child forked after the helper has run a task has no helper thread
+    and starts its own: it steps an N_PREFETCH ensemble, kicks drawn ahead,
+    to the parent's velocities bit for bit.  A child that waited on the
+    parent's thread would hang; it is killed at the deadline."""
+    cfg = _prefetch_config(seed=27)
+    model = constant(0.6)
+    init = InitialCondition("maxwellian", t0=1.0)
+    _helper.submit(int).result()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            ens = _stepped(cfg, model, init, 3)
+            dsmc._drop_pending()
+            os.write(write, hashlib.sha256(ens.velocities.tobytes())
+                     .hexdigest().encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    got = None
+    try:
+        ready, _, _ = select.select([read], [], [], 30.0)
+        got = os.read(read, 64).decode() if ready else None
+    finally:
+        os.close(read)
+        if got is None:
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert got is not None, "the forked child did not report within 30 s"
+    want = _stepped(cfg, model, init, 3)
+    dsmc._drop_pending()
+    assert got == hashlib.sha256(want.velocities.tobytes()).hexdigest()

@@ -284,6 +284,24 @@ def test_sweep_matches_reference_property(name, n, m, seed):
     _compare(name, vel, _random_draw(rng, n, m, umax))
 
 
+def test_sweep_raises_where_reference_raises():
+    """A majorant at 0.6 of the largest initial pairwise speed: on 200
+    seeded draws the sweep raises MajorantViolation exactly where the
+    one-at-a-time loop flags a violation, and matches it elsewhere; at
+    least 10 % of the draws raise and at least 10 % do not."""
+    rng = np.random.default_rng(45)
+    names = sorted(MODELS)
+    draws, raised = 200, 0
+    for k in range(draws):
+        n = int(rng.integers(2, 41))
+        vel = rng.normal(size=(n, 3))
+        u = vel[:, None, :] - vel[None, :, :]
+        umax = 0.6 * math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", u, u))))
+        draw = _random_draw(rng, n, int(rng.integers(1, 21)), umax)
+        raised += _compare(names[k % len(names)], vel, draw) is None
+    assert draws // 10 <= raised <= draws - draws // 10
+
+
 def test_viscoelastic_vec_matches_scalar():
     model = viscoelastic(1.0)
     r = np.concatenate([[0.0], np.logspace(-12, 12, 200_000)])
