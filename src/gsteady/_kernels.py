@@ -73,29 +73,36 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, dirs, umax,
     dirs holds each candidate's two direction uniforms, an (m, 2) array;
     only the accepted rows are mapped to a scattering direction
     (`sphere_directions`), so a candidate's direction does not depend on
-    the round that takes it.
+    the round that takes it.  umax is the majorant, one value for every
+    candidate or an array of one per candidate: runs that share a sweep
+    (`dsmc`) each keep their own.
 
     Each round takes every pending candidate whose previous candidates on i
     and on j are both done.  Candidates of one round touch disjoint
     particles, and each sees the velocities the one-at-a-time loop would
     give it.  The sweep is one pass over every candidate.
 
-    Mutates vel in place.  Returns (accepted, energy_loss).  Raises
+    Mutates vel in place.  Returns (accepted, loss, collided, terms): the
+    number of collisions and the energy they dissipated, added in candidate
+    order, and per candidate whether it collided and the energy it
+    dissipated (0 where it did not).  A sweep over several runs takes each
+    run's counts from its slice of collided and terms.  Raises
     MajorantViolation at the first round that holds a pair whose relative
-    speed exceeds umax, with vel part-updated, so the caller must discard
-    vel.
+    speed exceeds its umax, with vel part-updated, so the caller must
+    discard vel.
     """
     m = idx_i.shape[0]
     if m == 0:
-        return 0, 0.0
+        return 0, 0.0, np.zeros(0, dtype=bool), np.zeros(0)
+    umax = np.broadcast_to(umax, (m,))
     # The accept test's threshold, computed once as the test computes it.
     thresh = accept_u * umax
     prev_i, prev_j = _predecessors(idx_i, idx_j)
     done = np.zeros(m + 1, dtype=bool)
     done[m] = True
     pending = np.arange(m)
+    collided = np.zeros(m, dtype=bool)
     terms = np.zeros(m)
-    accepted = 0
     while pending.size:
         ready = done.take(prev_i.take(pending))
         ready &= done.take(prev_j.take(pending))
@@ -108,18 +115,19 @@ def apply_collisions(vel, idx_i, idx_j, accept_u, dirs, umax,
         vj = vel.take(j, axis=0)
         u = vi - vj
         un = np.sqrt(_dot(u, u))
-        if np.any(un > umax):
+        if np.any(un > umax.take(ks)):
             raise MajorantViolation("pairwise speed exceeded U_max")
         # Negated skip test, so a NaN speed collides as in the scalar loop.
         hit = np.flatnonzero(~((un <= 0.0) | (thresh.take(ks) >= un)))
         if not hit.size:
             continue
         ks = ks.take(hit)
+        collided[ks] = True
         sigma = sphere_directions(dirs.take(ks, axis=0))
         h, terms[ks] = sigma_collision(u.take(hit, axis=0), sigma, model)
         vel[i.take(hit)] = vi.take(hit, axis=0) - h
         vel[j.take(hit)] = vj.take(hit, axis=0) + h
-        accepted += ks.size
     # The loss is accumulated in candidate order, as the sequential sweep
     # adds it.
-    return accepted, float(np.cumsum(terms)[-1])
+    return (int(np.count_nonzero(collided)), float(np.cumsum(terms)[-1]),
+            collided, terms)

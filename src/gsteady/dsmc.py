@@ -5,8 +5,19 @@ Euler-Maruyama form of the Laplacian forcing), a majorant-rate collision
 sweep (Poisson candidate count, acceptance |u|/U_max, uniform scattering
 direction) and a momentum recentering.  All randomness comes
 from counter-based Philox streams keyed by (seed, step, substream), so a
-run is bit-reproducible from its configuration alone.  Independent runs go
-through run_many, which spreads them over a fork process pool.
+run is bit-reproducible from its configuration alone.
+
+Independent runs go through run_many, which gives each worker of a fork
+process pool a round-robin share of the jobs (all of them when it runs in
+this process).  The runs of a share advance in lockstep, one step at a
+time (`_step_all`): each run kicks and draws its candidates from its own
+streams, then the runs of one restitution law go through one collision
+sweep, their velocities concatenated.  The sweep's cost is mostly per
+round, so runs that share it share that cost; they share no particle, so
+each run is bit-identical to its run alone.  `step` and `run_to_steady` are
+the same path on one run.  A run that raises drops the runs of higher job
+index in its share, and run_many raises the exception of the lowest failed
+job index.
 
 Each candidate draws two uniforms for its scattering direction from the
 collision stream, and the sweep turns only the accepted candidates' pairs
@@ -28,7 +39,7 @@ import numpy as np
 
 from . import _helper, _kernels
 from .dissipation import DissipationSpec, dissipation_functional, psi_e
-from .errors import ConfigError, InputError, TimeStepError
+from .errors import ConfigError, InputError, MajorantViolation, TimeStepError
 from .observables import DEFAULT_P_SET, default_tail_rate, moments, tail_integral
 from .restitution import RestitutionModel
 
@@ -58,9 +69,10 @@ def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (step << 2) | substream]))
 
 
-# The one pending prefetched kick, {key: (future, buffer)}.  A kick is a pure
-# function of its key, so a hit is correct for any caller: two ensembles, a
-# resumed snapshot or a retried step need no bookkeeping.
+# The pending prefetched kicks, one per run of a batch, {key: (future,
+# buffer)}.  A kick is a pure function of its key, so a hit is correct for
+# any caller: two ensembles, a resumed snapshot or a retried step need no
+# bookkeeping.
 _pending: dict = {}
 
 
@@ -74,18 +86,16 @@ def _draw_kick(key, out) -> None:
     out += 0.0
 
 
-def _drop_pending() -> None:
-    _helper.join()
-    _pending.clear()
-
-
 def _bath_kick(key) -> np.ndarray:
     """The bath kick of key (seed, step, shape, scale), as a new array the
     caller owns: the pending one if its key is this one (dict.pop is atomic,
-    so no two callers get one buffer), otherwise drawn inline."""
+    so no two callers get one buffer), otherwise drawn inline.  A miss drops
+    the pending kicks no run will take: the runs of a batch step together,
+    so every kick still wanted is of this step or the next."""
     hit = _pending.pop(key, None)
     if hit is None:
-        _drop_pending()
+        for stale in [k for k in _pending if not 0 <= k[1] - key[1] <= 1]:
+            _pending.pop(stale, None)
         kick = np.empty(key[2])
         _draw_kick(key, kick)
     else:
@@ -244,8 +254,142 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
     return ens
 
 
+class _Move:
+    """One run's step while it is built: the kicked velocities, the bath
+    energy, U_max and the collision variates, then the sweep's outcome.
+    Nothing here touches the ensemble until `commit`."""
+
+    error = None
+    m = 0
+    accepted = 0
+    loss = 0.0
+
+    def __init__(self, ens: Ensemble, config: EngineConfig, model: RestitutionModel):
+        self.ens = ens
+        self.config = config
+        self.model = model
+        n = ens.n
+        dt = config.dt
+        self.bath = 0.0
+        if config.mu > 0.0:
+            key = (config.seed, ens.step_count, ens.velocities.shape,
+                   math.sqrt(2.0 * config.mu * dt))
+            vel = _bath_kick(key)
+            _draw_ahead((key[0], key[1] + 1) + key[2:])
+            vel += ens.velocities
+            self.bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
+        else:
+            vel = ens.velocities.copy()
+        self.vel = vel
+
+        vmax = math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
+        if not math.isfinite(vmax):
+            self.error = TimeStepError("non-finite velocity; check dt and mu")
+            return
+        self.umax = _UMAX_FACTOR * 2.0 * vmax
+        if self.umax > 0.0:
+            rng = _stream(config.seed, ens.step_count, _STREAM_COLLIDE)
+            self.m = int(rng.poisson((n - 1) * self.umax * dt / 2.0))
+        if self.m > 0:
+            self.ii = rng.integers(0, n, size=self.m)
+            jj = rng.integers(0, n - 1, size=self.m)
+            self.jj = jj + (jj >= self.ii)
+            self.accept_u = rng.random(self.m)
+            self.dirs = rng.random((self.m, 2))
+
+    def commit(self) -> None:
+        """Check the collision rate, recenter and commit the step, or set
+        `error` and leave the ensemble as it was."""
+        ens = self.ens
+        n = ens.n
+        ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * self.accepted / n)
+        if ens.step_count > 20 and ema > 0.2:
+            self.error = TimeStepError(
+                f"per-particle collision probability per step "
+                f"{ema:.3f} exceeds 0.2; reduce dt")
+            return
+        vel = self.vel
+        # vel.mean(axis=0) bit for bit: both add the rows in order, but the
+        # reduce runs an inner loop of length 3.
+        mean = np.einsum("ij->j", vel) / n
+        vel -= mean
+
+        ens.velocities = vel
+        ens.bath_energy += self.bath
+        ens.n_collisions += self.accepted
+        ens.collision_loss += self.loss
+        ens.collision_prob_ema = ema
+        ens.recenter_energy -= n * float(mean @ mean)
+        ens.t += self.config.dt
+        ens.step_count += 1
+
+
+def _sweep(moves: list) -> None:
+    """The collision sweep of moves, runs of one law, as one
+    `_kernels.apply_collisions` call.
+
+    One run sweeps its own velocity array.  Several are concatenated, each
+    run's particle indices offset by the particles before it and its U_max
+    repeated for each of its candidates; afterwards each run's velocities
+    are its slice of the concatenation.  Runs share no particle, so every
+    run sees what it would see alone, bit for bit.  A sweep that raises
+    MajorantViolation is rerun one run at a time from the runs' own, still
+    kicked, arrays, to find the runs that raised.
+    """
+    if len(moves) == 1:
+        [mv] = moves
+        try:
+            mv.accepted, mv.loss, _, _ = _kernels.apply_collisions(
+                mv.vel, mv.ii, mv.jj, mv.accept_u, mv.dirs, mv.umax, mv.model)
+        except MajorantViolation as exc:
+            mv.error = exc
+        return
+    starts = np.cumsum([0] + [mv.ens.n for mv in moves])
+    vel = np.concatenate([mv.vel for mv in moves])
+    try:
+        _, _, collided, terms = _kernels.apply_collisions(
+            vel,
+            np.concatenate([mv.ii + s for mv, s in zip(moves, starts)]),
+            np.concatenate([mv.jj + s for mv, s in zip(moves, starts)]),
+            np.concatenate([mv.accept_u for mv in moves]),
+            np.concatenate([mv.dirs for mv in moves]),
+            np.repeat([mv.umax for mv in moves], [mv.m for mv in moves]),
+            moves[0].model)
+    except MajorantViolation:
+        for mv in moves:
+            _sweep([mv])
+        return
+    lo = 0
+    for mv, start, stop in zip(moves, starts, starts[1:]):
+        hi = lo + mv.m
+        mv.accepted = int(np.count_nonzero(collided[lo:hi]))
+        # Added in candidate order, as the run's own sweep adds its loss.
+        mv.loss = float(np.cumsum(terms[lo:hi])[-1])
+        mv.vel = vel[start:stop]
+        lo = hi
+
+
+def _step_all(runs) -> list:
+    """Advance each (ensemble, config, model) of runs by one step; return,
+    per run, None or the TimeStepError or MajorantViolation that stopped its
+    step, whose ensemble is then left as it was.  Each run kicks and draws
+    from its own streams, the runs of one law share one sweep (`_sweep`),
+    and each run's step commits on its own."""
+    moves = [_Move(*run) for run in runs]
+    laws: dict = {}
+    for mv in moves:
+        if mv.error is None and mv.m > 0:
+            laws.setdefault(mv.model, []).append(mv)
+    for group in laws.values():
+        _sweep(group)
+    for mv in moves:
+        if mv.error is None:
+            mv.commit()
+    return [mv.error for mv in moves]
+
+
 def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemble:
-    """Advance the ensemble by one time step.
+    """Advance the ensemble by one time step: `_step_all` on one run.
 
     The step is built in a new velocity array and commits once, after its
     last check: `ens.velocities` is replaced by that array and the counters
@@ -260,60 +404,12 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     `_helper.MIN_SIZE` (2^15) elements (N >= 2^15 / 3), to be taken by the
     next step with the same (seed, step, N, scale) key.  It is drawn exactly
     as an inline kick, so runs stay bit-reproducible; a step holds one extra
-    velocity array while it runs.
+    velocity array while it runs.  Alone, a run's sweep works on the
+    step's own array; only runs that share a sweep are copied into one.
     """
-    n = ens.n
-    dt = config.dt
-
-    bath = 0.0
-    if config.mu > 0.0:
-        key = (config.seed, ens.step_count, ens.velocities.shape,
-               math.sqrt(2.0 * config.mu * dt))
-        vel = _bath_kick(key)
-        _draw_ahead((key[0], key[1] + 1) + key[2:])
-        vel += ens.velocities
-        bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
-    else:
-        vel = ens.velocities.copy()
-
-    vmax = math.sqrt(float(np.max(np.einsum("ij,ij->i", vel, vel))))
-    if not math.isfinite(vmax):
-        raise TimeStepError("non-finite velocity; check dt and mu")
-    umax = _UMAX_FACTOR * 2.0 * vmax
-    accepted = 0
-    loss = 0.0
-    m = 0
-    if umax > 0.0:
-        rng = _stream(config.seed, ens.step_count, _STREAM_COLLIDE)
-        m = int(rng.poisson((n - 1) * umax * dt / 2.0))
-    if m > 0:
-        ii = rng.integers(0, n, size=m)
-        jj = rng.integers(0, n - 1, size=m)
-        jj = jj + (jj >= ii)
-        accept_u = rng.random(m)
-        dirs = rng.random((m, 2))
-        accepted, loss = _kernels.apply_collisions(
-            vel, ii, jj, accept_u, dirs, umax, model)
-
-    ema = 0.9 * ens.collision_prob_ema + 0.1 * (2.0 * accepted / n)
-    if ens.step_count > 20 and ema > 0.2:
-        raise TimeStepError(
-            f"per-particle collision probability per step "
-            f"{ema:.3f} exceeds 0.2; reduce dt")
-
-    # vel.mean(axis=0) bit for bit: both add the rows in order, but the
-    # reduce runs an inner loop of length 3.
-    mean = np.einsum("ij->j", vel) / n
-    vel -= mean
-
-    ens.velocities = vel
-    ens.bath_energy += bath
-    ens.n_collisions += accepted
-    ens.collision_loss += loss
-    ens.collision_prob_ema = ema
-    ens.recenter_energy -= n * float(mean @ mean)
-    ens.t += dt
-    ens.step_count += 1
+    [error] = _step_all([(ens, config, model)])
+    if error is not None:
+        raise error
     return ens
 
 
@@ -325,55 +421,116 @@ def _fit_slope(ts: np.ndarray, ys: np.ndarray) -> float:
     return float(t0 @ (ys - ys.mean())) / denom
 
 
+class _Run:
+    """A run to steady in progress: its job, its ensemble and its series."""
+
+    def __init__(self, config: EngineConfig, model: RestitutionModel,
+                 init: InitialCondition):
+        self.config = config
+        self.model = model
+        self.ens = initial_ensemble(config, init)
+        self.spec = DissipationSpec(model)
+        self.series: list[tuple] = []
+        self.converged = False
+
+    def sample(self) -> bool:
+        """After a step, take the series row if one is due and test the
+        trailing window; True once the run is done, steady or at
+        max_steps."""
+        ens, config = self.ens, self.config
+        if ens.step_count % config.sample_every == 0:
+            self.series.append((
+                ens.step_count, ens.t, *moments(ens).values(),
+                dissipation_functional(
+                    ens.velocities, lambda r2: psi_e(self.spec, r2),
+                    config.diss_pairs,
+                    _stream(config.seed, ens.step_count, _STREAM_DIAG)),
+                ens.collision_prob()))
+            if len(self.series) >= config.window:
+                tail = self.series[-config.window:]
+                ts = np.array([r[1] for r in tail])
+                m1s = np.array([r[2] for r in tail])
+                slope = _fit_slope(ts, m1s)
+                span = ts[-1] - ts[0]
+                if abs(slope) * span < config.tol * float(np.mean(m1s)):
+                    self.converged = True
+        return self.converged or ens.step_count >= config.max_steps
+
+    def report(self):
+        """(ensemble, SteadyReport) of the finished run; the ensemble owns
+        its velocity array (a shared sweep leaves it a slice)."""
+        ens, series = self.ens, self.series
+        if ens.velocities.base is not None:
+            ens.velocities = ens.velocities.copy()
+        window = series[-self.config.window:] if series else []
+        arr = np.array(window) if window else np.zeros((0, len(SERIES_COLUMNS)))
+        means = (arr.mean(axis=0) if len(arr)
+                 else np.full(len(SERIES_COLUMNS), np.nan))
+        tail = tail_integral(ens, default_tail_rate(ens))
+        return ens, SteadyReport(
+            temperature=float(means[2]) / 3.0,
+            moments=dict(zip(DEFAULT_P_SET, map(float, means[2:6]))),
+            diss_estimate=float(means[6]),
+            tail_a=tail.a,
+            tail_value=tail.value,
+            tail_max_share=tail.max_share,
+            steps=ens.step_count,
+            converged=self.converged,
+            collision_prob=ens.collision_prob(),
+            series=series,
+        )
+
+
+def _run_lockstep(jobs) -> list:
+    """run_to_steady for each (config, model, init) job, the runs advancing
+    together one step at a time (`_step_all`); a run leaves when it is
+    steady or at its max_steps.
+
+    Returns, per job, (ensemble, report) or the exception that stopped it.
+    A run that raises ConfigError at its start, or TimeStepError or
+    MajorantViolation in a step, is dropped together with every run of a
+    higher job index, whose outcome is None; the runs of lower index go on,
+    since one of them may still fail.  So the first exception in job order
+    is the one a loop of run_to_steady calls would have raised.
+    """
+    outcomes: list = [None] * len(jobs)
+    live = []
+    for k, job in enumerate(jobs):
+        try:
+            live.append((k, _Run(*job)))
+        except ConfigError as exc:
+            outcomes[k] = exc
+            break
+    while live:
+        errors = _step_all([(run.ens, run.config, run.model) for _, run in live])
+        for (k, _), error in zip(live, errors):
+            if error is not None:
+                outcomes[k] = error
+                live = [(j, run) for j, run in live if j < k]
+                break
+        going = []
+        for k, run in live:
+            if run.sample():
+                outcomes[k] = run.report()
+            else:
+                going.append((k, run))
+        live = going
+    return outcomes
+
+
 def run_to_steady(config: EngineConfig, model: RestitutionModel,
                   init: InitialCondition):
     """Iterate steps until the energy slope over the trailing window is flat.
 
     Returns (ensemble, report).  Non-convergence within max_steps yields a
-    report with converged=False rather than an exception.
+    report with converged=False rather than an exception.  This is
+    run_many's lockstep loop on one run, so a run gives the same bits alone
+    and in a batch.
     """
-    ens = initial_ensemble(config, init)
-    spec = DissipationSpec(model)
-    series: list[tuple] = []
-    converged = False
-
-    while ens.step_count < config.max_steps:
-        step(ens, config, model)
-        if ens.step_count % config.sample_every != 0:
-            continue
-        row = (ens.step_count, ens.t, *moments(ens).values(),
-               dissipation_functional(
-                   ens.velocities, lambda r2: psi_e(spec, r2), config.diss_pairs,
-                   _stream(config.seed, ens.step_count, _STREAM_DIAG)),
-               ens.collision_prob())
-        series.append(row)
-        if len(series) >= config.window:
-            tail = series[-config.window:]
-            ts = np.array([r[1] for r in tail])
-            m1s = np.array([r[2] for r in tail])
-            slope = _fit_slope(ts, m1s)
-            span = ts[-1] - ts[0]
-            if abs(slope) * span < config.tol * float(np.mean(m1s)):
-                converged = True
-                break
-
-    window = series[-config.window:] if series else []
-    arr = np.array(window) if window else np.zeros((0, len(SERIES_COLUMNS)))
-    means = arr.mean(axis=0) if len(arr) else np.full(len(SERIES_COLUMNS), np.nan)
-    tail = tail_integral(ens, default_tail_rate(ens))
-    report = SteadyReport(
-        temperature=float(means[2]) / 3.0,
-        moments=dict(zip(DEFAULT_P_SET, map(float, means[2:6]))),
-        diss_estimate=float(means[6]),
-        tail_a=tail.a,
-        tail_value=tail.value,
-        tail_max_share=tail.max_share,
-        steps=ens.step_count,
-        converged=converged,
-        collision_prob=ens.collision_prob(),
-        series=series,
-    )
-    return ens, report
+    [outcome] = _run_lockstep([(config, model, init)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _usable_cores() -> int:
@@ -387,17 +544,28 @@ def run_many(jobs) -> list:
     """run_to_steady for each (config, model, init) job, in job order.
 
     The jobs run in a fork process pool with one worker per usable core (at
-    most one per job), or in this process when that is one worker or the
-    platform cannot fork.  Each run depends only on its job, so the results
-    are bit-identical for any worker count; a worker's exception reaches the
-    caller with its original type.  A fork first waits for the tasks queued
-    on this process's helper thread, and a child would start a helper
-    thread of its own; the workers use none (`_helper.run_inline`): on a
-    2-core host, eight N=2e4 runs in two workers took 11.1-11.2 s that way,
-    and 11.7-11.9 s with a bath-kick prefetch thread in each worker.
+    most one per job), or all in this process when that is one worker or
+    the platform cannot fork.  Worker w holds the jobs w, w + workers,
+    w + 2 workers, ..., and its runs advance in lockstep, one step at a
+    time: the runs of one restitution law share each step's collision sweep,
+    whose cost is mostly per round (`_step_all`).  Runs share no particle
+    and draw from their own Philox streams, so the results are bit-identical
+    to serial run_to_steady calls, for any worker count.
+
+    A run that fails drops the runs of higher job index in its batch; those
+    of lower index finish.  Workers return exceptions as values, and
+    run_many raises the one of the lowest failed job index, with its
+    original type, as a loop of run_to_steady calls would.
+
+    A fork first waits for the tasks queued on this process's helper
+    thread, and a child would start a helper thread of its own; the workers
+    use none (`_helper.run_inline`): on a 2-core host, eight N=2e4 runs in
+    two workers took 11.1-11.2 s that way, and 11.7-11.9 s with a bath-kick
+    prefetch thread in each worker.
     """
     jobs = list(jobs)
     workers = min(_usable_cores(), len(jobs))
+    shares = None
     if workers > 1:
         # Imported here: these modules add about 0.6 MB to a process, and
         # most processes (simulate, verify) never start a pool.
@@ -407,8 +575,15 @@ def run_many(jobs) -> list:
             fork = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(workers, mp_context=fork,
                                      initializer=_helper.run_inline) as pool:
-                return list(pool.map(run_to_steady, *zip(*jobs)))
-    return [run_to_steady(*job) for job in jobs]
+                shares = list(pool.map(_run_lockstep, [
+                    jobs[w::workers] for w in range(workers)]))
+    if shares is None:
+        workers, shares = 1, [_run_lockstep(jobs)]
+    outcomes = [shares[k % workers][k // workers] for k in range(len(jobs))]
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def save_snapshot(path, ens: Ensemble) -> None:

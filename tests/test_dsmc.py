@@ -446,6 +446,9 @@ def test_snapshot_wrong_size_rejected(tmp_path, resize):
 
 
 def _jobs():
+    """Three laws, and two more power-law runs of other sizes that stop
+    earlier: a batch holding jobs 0, 3 and 4 (one core) or 0 and 3 (three
+    workers) or 0 and 4 (two) shares the power-law sweep and shrinks."""
     return [
         (small_config(seed=1), power_law(1.0, 0.2),
          InitialCondition("maxwellian", t0=1.0)),
@@ -453,6 +456,10 @@ def _jobs():
          InitialCondition("bimodal", v0=1.5)),
         (small_config(seed=3), constant(0.7),
          InitialCondition("uniform_ball", radius=2.0)),
+        (small_config(seed=4, n=301, max_steps=120), power_law(1.0, 0.2),
+         InitialCondition("bimodal", v0=1.2)),
+        (small_config(seed=5, n=37, max_steps=55), power_law(1.0, 0.2),
+         InitialCondition("maxwellian", t0=0.8)),
     ]
 
 
@@ -466,13 +473,82 @@ def _assert_runs_equal(got, want):
             rep_ref.temperature, rep_ref.steps, rep_ref.converged)
 
 
-@pytest.mark.parametrize("cores", [3, 1])
+@pytest.mark.parametrize("cores", [3, 2, 1])
 def test_run_many_matches_serial(monkeypatch, cores):
-    """Pool (3 workers) and in-process (1 core) both equal serial runs."""
+    """Pool (3 or 2 workers) and in-process (1 core) runs equal serial runs
+    bit for bit, with runs of one law and of different N sharing a sweep
+    and leaving their batch at different steps."""
     serial = [run_to_steady(*job) for job in _jobs()]
+    assert len({rep.steps for _, rep in serial}) >= 3
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
+    sweeps = []
+    sweep = dsmc._kernels.apply_collisions
+
+    def spy(vel, *args):
+        sweeps.append(len(vel))
+        return sweep(vel, *args)
+
+    monkeypatch.setattr(dsmc._kernels, "apply_collisions", spy)
     _assert_runs_equal(run_many(_jobs()), serial)
+    if cores == 1:  # in this process: jobs 0, 3 and 4 share their sweeps
+        assert {400 + 301 + 37, 400 + 301, 400} <= set(sweeps)
+
+
+def _too_fast_jobs():
+    """Job 0 fails late (collision probability about 0.21 per particle and
+    step: TimeStepError at step 33), job 1 early (about 0.5: at step 21),
+    job 2 not at all.  Jobs 0 and 1 share every elastic sweep."""
+    base = dict(mu=0.0, max_steps=200, window=10, sample_every=5,
+                diss_pairs=500)
+    return [
+        (small_config(n=2000, dt=0.093, seed=1, **base), elastic(),
+         InitialCondition("maxwellian", t0=1.0)),
+        (small_config(n=400, dt=0.22, seed=3, **base), elastic(),
+         InitialCondition("maxwellian", t0=1.0)),
+        _jobs()[0],
+    ]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_run_many_raises_first_failed_job(monkeypatch, cores):
+    """However the jobs are split over workers, run_many raises the error
+    of the lowest failed job index, as a loop of run_to_steady calls does:
+    the late TimeStepError of job 0, not job 1's earlier one.  With a job
+    that does not fail put first, the late failure is job 1 and the early
+    one job 2, which two workers hold in the first worker's share."""
+    jobs = _too_fast_jobs()
+    with pytest.raises(TimeStepError) as late:
+        run_to_steady(*jobs[0])
+    with pytest.raises(TimeStepError) as early:
+        run_to_steady(*jobs[1])
+    assert str(late.value) != str(early.value)
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    for batch in (jobs, jobs[2:] + jobs[:2]):
+        with pytest.raises(TimeStepError) as got:
+            run_many(batch)
+        assert str(got.value) == str(late.value)
+
+
+def test_batch_finds_the_run_that_broke_a_shared_sweep():
+    """A shared sweep that raises MajorantViolation is rerun one run at a
+    time: the run that raises alone (job 1, at its fifth step) stops, and
+    job 0, which shared that sweep, finishes as it does alone."""
+    ok = (small_config(mu=0.0, max_steps=30), elastic(),
+          InitialCondition("maxwellian", t0=1.0))
+    bad = (EngineConfig(n=8, dt=2.0, mu=0.0, seed=35), elastic(),
+           InitialCondition("maxwellian", t0=1.0))
+    ens = initial_ensemble(bad[0], bad[2])
+    with pytest.raises(MajorantViolation):
+        for _ in range(20):
+            step(ens, *bad[:2])
+    assert ens.step_count == 4
+    got = dsmc._run_lockstep([ok, bad])
+    assert isinstance(got[1], MajorantViolation)
+    _assert_runs_equal(got[:1], [run_to_steady(*ok)])
+    with pytest.raises(MajorantViolation):
+        run_many([ok, bad])
 
 
 def test_run_many_reraises_worker_error(monkeypatch):
@@ -486,6 +562,12 @@ def test_run_many_reraises_worker_error(monkeypatch):
 
 # The smallest N whose bath kick is prefetched on the helper thread.
 N_PREFETCH = _helper.MIN_SIZE // 3 + 1
+
+
+def _drop_pending():
+    """Wait for every queued helper task, then forget every pending kick."""
+    _helper.join()
+    dsmc._pending.clear()
 
 
 def _prefetch_config(**kw):
@@ -538,8 +620,8 @@ def test_prefetch_dropped_equals_ordinary():
             assert list(dsmc._pending) == [_kick_key(ens, cfg)]
 
     ordinary = _stepped(cfg, model, init, 8, expect_hit)
-    inline = _stepped(cfg, model, init, 8, lambda ens: dsmc._drop_pending())
-    dsmc._drop_pending()
+    inline = _stepped(cfg, model, init, 8, lambda ens: _drop_pending())
+    _drop_pending()
     _assert_same_state(ordinary, inline)
     assert ordinary.bath_energy != 0.0
 
@@ -556,7 +638,7 @@ def test_prefetch_two_ensembles_interleaved():
     for _ in range(6):
         for ens in pair:
             step(ens, cfg, model)
-    dsmc._drop_pending()
+    _drop_pending()
     for got, want in zip(pair, alone):
         _assert_same_state(got, want)
 
@@ -578,7 +660,7 @@ def test_prefetch_retried_step_equals_clean_run(monkeypatch):
     assert list(dsmc._pending) == [(cfg.seed, 2) + _kick_key(ens, cfg)[2:]]
     for _ in range(3):
         step(ens, cfg, model)
-    dsmc._drop_pending()
+    _drop_pending()
     _assert_same_state(ens, clean)
 
 
@@ -591,7 +673,7 @@ def test_run_many_while_prefetch_pending(monkeypatch):
     jobs = [(cfg, power_law(1.0, 0.2), InitialCondition("maxwellian", t0=1.0)),
             (cfg, constant(0.7), InitialCondition("bimodal", v0=1.5))]
     serial = [run_to_steady(*job) for job in jobs]
-    dsmc._drop_pending()
+    _drop_pending()
     draw = dsmc._draw_kick
 
     def slow_draw(key, out):
@@ -604,7 +686,7 @@ def test_run_many_while_prefetch_pending(monkeypatch):
                         raising=False)
     dsmc._draw_ahead((cfg.seed, 0, (cfg.n, 3), math.sqrt(2.0 * cfg.mu * cfg.dt)))
     got = run_many(jobs)
-    dsmc._drop_pending()
+    _drop_pending()
     _assert_runs_equal(got, serial)
 
 
@@ -642,6 +724,10 @@ def _helper_starts_in_worker(*job):
     return _helper.MIN_SIZE, started, _helper._pool is None
 
 
+def _helper_starts_in_share(share):
+    return [_helper_starts_in_worker(*job) for job in share]
+
+
 @pytest.mark.parametrize("cores", [2, 3])
 def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
     """run_many's pool workers draw every kick and evaluate both psi_e
@@ -650,22 +736,48 @@ def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
     the helper."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
-    monkeypatch.setattr(dsmc, "run_to_steady", _helper_starts_in_worker)
+    monkeypatch.setattr(dsmc, "_run_lockstep", _helper_starts_in_share)
     assert run_many(_jobs()[:2]) == [(math.inf, [], True)] * 2
     assert _helper.MIN_SIZE == 1 << 15
+
+
+def test_batch_runs_take_their_prefetched_kicks(monkeypatch):
+    """Two N_PREFETCH runs in one in-process batch each take the kick the
+    helper drew ahead on every step after the first: a run's miss drops
+    only stale kicks, not the other run's pending one."""
+    _drop_pending()
+    inline = []
+    draw = dsmc._draw_kick
+
+    def draw_kick(key, out):
+        if threading.current_thread() is threading.main_thread():
+            inline.append(key[:2])
+        draw(key, out)
+
+    monkeypatch.setattr(dsmc, "_draw_kick", draw_kick)
+    started, _ = _spy_helpers(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    cfg = _helper_run_config(seed=28)
+    run_many([(cfg, constant(0.6), InitialCondition("maxwellian", t0=1.0)),
+              (dataclasses.replace(cfg, seed=29), viscoelastic(1.0),
+               InitialCondition("bimodal", v0=1.5))])
+    _drop_pending()
+    assert sorted(inline) == [(28, 0), (29, 0)]
+    assert started.count("draw_kick") == 2 * cfg.max_steps
 
 
 def test_no_prefetch_below_threshold(monkeypatch):
     """Below _helper.MIN_SIZE elements every kick is drawn inline, with no
     task submitted; at the threshold each step submits one kick draw."""
-    dsmc._drop_pending()
+    _drop_pending()
     started, _ = _spy_helpers(monkeypatch)
     model = constant(0.6)
     init = InitialCondition("maxwellian", t0=1.0)
     _stepped(_prefetch_config(n=N_PREFETCH - 1), model, init, 3)
     assert started == [] and dsmc._pending == {}
     _stepped(_prefetch_config(), model, init, 3)
-    dsmc._drop_pending()
+    _drop_pending()
     assert started == ["_draw_kick"] * 3
 
 
@@ -691,7 +803,7 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
         helped = run_to_steady(cfg, model, init)
     finally:
         sys.setswitchinterval(interval)
-    dsmc._drop_pending()
+    _drop_pending()
     assert set(started) == {"_draw_kick", "_psi_blocks"}
     assert started.count("_draw_kick") == cfg.max_steps
     monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
@@ -711,7 +823,7 @@ def test_violation_while_helper_draws(monkeypatch):
     model = constant(0.5)
     init = InitialCondition("maxwellian", t0=4.0)
     clean = _stepped(cfg, model, init, 4)
-    dsmc._drop_pending()
+    _drop_pending()
     ens = initial_ensemble(cfg, init)
     step(ens, cfg, model)
     before = _ledger_state(ens)
@@ -735,7 +847,7 @@ def test_violation_while_helper_draws(monkeypatch):
     assert after[1:] == before[1:]
     for _ in range(3):
         step(ens, cfg, model)
-    dsmc._drop_pending()
+    _drop_pending()
     _assert_same_state(ens, clean)
 
 
@@ -746,7 +858,7 @@ def test_at_most_one_helper_alive(monkeypatch):
     started, ran = _spy_helpers(monkeypatch)
     run_to_steady(_helper_run_config(seed=26), viscoelastic(1.0),
                   InitialCondition("maxwellian", t0=1.0))
-    dsmc._drop_pending()
+    _drop_pending()
     assert len(ran) == len(started) > 10
     assert len({ident for ident, _, _ in ran}) == 1
     assert {name.startswith("gsteady-helper") for _, name, _ in ran} == {True}
@@ -768,7 +880,7 @@ def test_forked_child_starts_its_own_helper():
         try:
             os.close(read)
             ens = _stepped(cfg, model, init, 3)
-            dsmc._drop_pending()
+            _drop_pending()
             os.write(write, hashlib.sha256(ens.velocities.tobytes())
                      .hexdigest().encode())
         finally:
@@ -785,5 +897,5 @@ def test_forked_child_starts_its_own_helper():
         os.waitpid(pid, 0)
     assert got is not None, "the forked child did not report within 30 s"
     want = _stepped(cfg, model, init, 3)
-    dsmc._drop_pending()
+    _drop_pending()
     assert got == hashlib.sha256(want.velocities.tobytes()).hexdigest()

@@ -156,7 +156,8 @@ def _vmax(vel):
 def _compare(name, vel, draw):
     """Run both sweeps from vel on one draw; return the kernel's
     (accepted, loss), or None when the reference flags a violation and the
-    kernel raises for it."""
+    kernel raises for it.  The kernel's per-candidate outcomes add up to
+    its totals."""
     model = MODELS[name]
     ref_vel = vel.copy()
     new_vel = vel.copy()
@@ -167,7 +168,10 @@ def _compare(name, vel, draw):
             _kernels.apply_collisions(new_vel, *draw, model)
         return None
     out = _kernels.apply_collisions(new_vel, *draw, model)
-    assert out[0] == ref[0]
+    collided, terms = out[2:]
+    assert out[0] == ref[0] == np.count_nonzero(collided)
+    assert out[1] == float(np.cumsum(terms)[-1])
+    assert np.all(terms[~collided] == 0.0)
     if name in EXACT:
         assert out[1] == ref[1]
         np.testing.assert_array_equal(new_vel, ref_vel)
@@ -175,7 +179,7 @@ def _compare(name, vel, draw):
         assert out[1] == pytest.approx(ref[1], rel=1e-13, abs=0.0)
         scale = np.max(np.abs(ref_vel))
         assert np.max(np.abs(new_vel - ref_vel)) <= 1e-13 * scale
-    return out
+    return out[:2]
 
 
 def _random_draw(rng, n, m, umax):
@@ -299,6 +303,53 @@ def test_sweep_raises_where_reference_raises():
         umax = 0.6 * math.sqrt(float(np.max(np.einsum("ijk,ijk->ij", u, u))))
         draw = _random_draw(rng, n, int(rng.integers(1, 21)), umax)
         raised += _compare(names[k % len(names)], vel, draw) is None
+    assert draws // 10 <= raised <= draws - draws // 10
+
+
+def test_sweep_of_several_runs_equals_their_own_sweeps():
+    """Runs concatenated into one sweep, each run's particle indices offset
+    by the particles before it and its own umax repeated for each of its
+    candidates, give every run its own sweep's velocities, collisions and
+    per-candidate losses bit for bit, on all four laws; the concatenation
+    raises MajorantViolation exactly when one of its runs does alone."""
+    rng = np.random.default_rng(46)
+    names = sorted(MODELS)
+    draws, raised = 100, 0
+    for k in range(draws):
+        model = MODELS[names[k % len(names)]]
+        runs = []
+        for _ in range(int(rng.integers(2, 5))):
+            n = int(rng.integers(2, 60))
+            vel = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
+            umax = rng.uniform(1.0, 2.5) * _vmax(vel)
+            runs.append((vel, _random_draw(rng, n, int(rng.integers(1, 80)), umax)))
+        alone = []
+        for vel, draw in runs:
+            own = vel.copy()
+            try:
+                alone.append((own, _kernels.apply_collisions(own, *draw, model)))
+            except MajorantViolation:
+                alone.append((own, None))
+        starts = np.cumsum([0] + [len(vel) for vel, _ in runs])
+        joint = np.concatenate([vel for vel, _ in runs])
+        draw = [np.concatenate([d[c] + (s if c < 2 else 0)
+                                for (_, d), s in zip(runs, starts)])
+                for c in range(4)]
+        umax = np.repeat([d[4] for _, d in runs], [len(d[0]) for _, d in runs])
+        if any(out is None for _, out in alone):
+            raised += 1
+            with pytest.raises(MajorantViolation):
+                _kernels.apply_collisions(joint, *draw, umax, model)
+            continue
+        _, _, collided, terms = _kernels.apply_collisions(joint, *draw, umax, model)
+        lo = 0
+        for (own, out), (_, d), s0, s1 in zip(alone, runs, starts, starts[1:]):
+            hi = lo + len(d[0])
+            np.testing.assert_array_equal(joint[s0:s1], own)
+            assert np.count_nonzero(collided[lo:hi]) == out[0]
+            assert float(np.cumsum(terms[lo:hi])[-1]) == out[1]
+            np.testing.assert_array_equal(terms[lo:hi], out[3])
+            lo = hi
     assert draws // 10 <= raised <= draws - draws // 10
 
 
