@@ -21,18 +21,19 @@ job index.
 
 Each candidate draws two uniforms for its scattering direction from the
 collision stream, and the sweep turns only the accepted candidates' pairs
-of uniforms into unit vectors.  The next step's bath kick is a function of
-(seed, step, N, its scale) alone: once a step has its own kick, it queues
-the next one on the process's one long-lived helper thread (`_draw_ahead`)
-and runs meanwhile, and the next step takes it if its key matches.  The
-kick holds the same numbers as an inline one, so the helper changes no
-trajectory bit.
+of uniforms into unit vectors.  A step's bath kick depends on no velocity,
+so each run of the lockstep loop queues its next step's kick on the
+process's one long-lived helper thread and holds it until that step
+(`_Run.move`); a lone `step` draws its kick inline.  The kick holds the
+same numbers either way, so the helper changes no trajectory bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,19 @@ _STREAM_DIAG = 3
 _UMAX_FACTOR = 1.25
 
 SNAPSHOT_MAGIC = "GSTEADY2"
-# Ensemble fields a snapshot carries besides N, as (ints, floats): the clock,
-# the step count and the ledger, so a loaded ensemble resumes the Philox
-# streams where it stopped.
-_SNAPSHOT_INTS = ("step_count", "n_collisions")
-_SNAPSHOT_FLOATS = ("t", "bath_energy", "collision_loss", "recenter_energy",
-                    "collision_prob_ema")
+# Ensemble fields a snapshot carries besides N, each with its type and the
+# values [low, high) a run reaches: the clock, the step count and the
+# ledger, so a loaded ensemble resumes the Philox streams where it stopped.
+# The floats are finite (their lowest low is the least float, not -inf, and
+# NaN fails every comparison).  A step count of 2^61 or more would make key
+# words (step << 2) | substream that numpy passes through float64 (see
+# EngineConfig's seed check).
+_FINITE = (float, -sys.float_info.max, math.inf)
+_SNAPSHOT_FIELDS = (
+    ("step_count", int, 0, 2 ** 61), ("n_collisions", int, 0, 2 ** 61),
+    ("t", *_FINITE), ("bath_energy", *_FINITE),
+    ("collision_loss", float, 0.0, math.inf), ("recenter_energy", *_FINITE),
+    ("collision_prob_ema", float, 0.0, math.inf))
 
 
 def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
@@ -69,51 +77,13 @@ def _stream(seed: int, step: int, substream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, (step << 2) | substream]))
 
 
-# The pending prefetched kicks, one per run of a batch, {key: (future,
-# buffer)}.  A kick is a pure function of its key, so a hit is correct for
-# any caller: two ensembles, a resumed snapshot or a retried step need no
-# bookkeeping.
-_pending: dict = {}
-
-
-def _draw_kick(key, out) -> None:
-    """Fill `out` with the bath kick of key (seed, step, shape, scale), bit
-    for bit as `normal(0.0, scale, size=out.shape)` from the step's bath
-    stream, which computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
-    seed, step, _, scale = key
+def _draw_kick(seed: int, step: int, scale: float, out) -> None:
+    """Fill `out` with the bath kick of a step, bit for bit as
+    `normal(0.0, scale, size=out.shape)` from the step's bath stream, which
+    computes 0.0 + scale * z (so -0.0 becomes +0.0)."""
     _stream(seed, step, _STREAM_BATH).standard_normal(out=out)
     out *= scale
     out += 0.0
-
-
-def _bath_kick(key) -> np.ndarray:
-    """The bath kick of key (seed, step, shape, scale), as a new array the
-    caller owns: the pending one if its key is this one (dict.pop is atomic,
-    so no two callers get one buffer), otherwise drawn inline.  A miss drops
-    the pending kicks no run will take: the runs of a batch step together,
-    so every kick still wanted is of this step or the next."""
-    hit = _pending.pop(key, None)
-    if hit is None:
-        for stale in [k for k in _pending if not 0 <= k[1] - key[1] <= 1]:
-            _pending.pop(stale, None)
-        kick = np.empty(key[2])
-        _draw_kick(key, kick)
-    else:
-        future, kick = hit
-        future.result()
-    return kick
-
-
-def _draw_ahead(key) -> None:
-    """Queue the bath kick of key (seed, step, shape, scale) on the helper
-    thread, into the pending slot, if it has `_helper.MIN_SIZE` elements or
-    more; a smaller kick is drawn by the step that needs it.  Once the
-    thread runs, this costs a queue put, not a thread start.  The buffer is
-    allocated here: a thread that allocates grows the peak RSS by more
-    than the array (glibc gives threads their own arenas)."""
-    if math.prod(key[2]) >= _helper.MIN_SIZE:
-        kick = np.empty(key[2])
-        _pending[key] = (_helper.submit(_draw_kick, key, kick), kick)
 
 
 @dataclass
@@ -129,6 +99,13 @@ class EngineConfig:
     diss_pairs: int = 100_000
 
     def __post_init__(self):
+        # A float count aliases seeds (1.5 runs seed 1's streams), rounds
+        # or fails later with a bare TypeError.
+        for name in ("n", "seed", "max_steps", "window", "sample_every",
+                     "diss_pairs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ConfigError("need at least 2 particles")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -257,25 +234,28 @@ def initial_ensemble(config: EngineConfig, init: InitialCondition) -> Ensemble:
 class _Move:
     """One run's step while it is built: the kicked velocities, the bath
     energy, U_max and the collision variates, then the sweep's outcome.
-    Nothing here touches the ensemble until `commit`."""
+    Nothing here touches the ensemble until `commit`.  The kick is drawn
+    here unless the helper thread fills it: `kick` is (future, buffer)."""
 
     error = None
     m = 0
     accepted = 0
     loss = 0.0
 
-    def __init__(self, ens: Ensemble, config: EngineConfig, model: RestitutionModel):
-        self.ens = ens
-        self.config = config
-        self.model = model
+    def __init__(self, ens: Ensemble, config: EngineConfig,
+                 model: RestitutionModel, kick=None):
+        self.ens, self.config, self.model = ens, config, model
         n = ens.n
         dt = config.dt
         self.bath = 0.0
         if config.mu > 0.0:
-            key = (config.seed, ens.step_count, ens.velocities.shape,
-                   math.sqrt(2.0 * config.mu * dt))
-            vel = _bath_kick(key)
-            _draw_ahead((key[0], key[1] + 1) + key[2:])
+            if kick is None:
+                vel = np.empty((n, 3))
+                scale = math.sqrt(2.0 * config.mu * dt)
+                _draw_kick(config.seed, ens.step_count, scale, vel)
+            else:
+                future, vel = kick
+                future.result()
             vel += ens.velocities
             self.bath = float(np.einsum("ij,ij->", vel, vel)) - ens.energy()
         else:
@@ -369,13 +349,11 @@ def _sweep(moves: list) -> None:
         lo = hi
 
 
-def _step_all(runs) -> list:
-    """Advance each (ensemble, config, model) of runs by one step; return,
-    per run, None or the TimeStepError or MajorantViolation that stopped its
-    step, whose ensemble is then left as it was.  Each run kicks and draws
-    from its own streams, the runs of one law share one sweep (`_sweep`),
-    and each run's step commits on its own."""
-    moves = [_Move(*run) for run in runs]
+def _step_all(moves) -> list:
+    """Finish the built moves, one per run: the runs of one law share one
+    sweep (`_sweep`), and each run's step commits on its own.  Return, per
+    move, None or the TimeStepError or MajorantViolation that stopped its
+    step, whose ensemble is then left as it was."""
     laws: dict = {}
     for mv in moves:
         if mv.error is None and mv.m > 0:
@@ -399,15 +377,10 @@ def step(ens: Ensemble, config: EngineConfig, model: RestitutionModel) -> Ensemb
     The collision stream gives, in this order, the candidate count m, the
     pairs, the m accept variates and an (m, 2) array of direction uniforms;
     the sweep turns an accepted candidate's row into its scattering
-    direction.  Once it has its own kick, the step queues the bath kick of
-    step `ens.step_count + 1` on the helper thread if that has at least
-    `_helper.MIN_SIZE` (2^15) elements (N >= 2^15 / 3), to be taken by the
-    next step with the same (seed, step, N, scale) key.  It is drawn exactly
-    as an inline kick, so runs stay bit-reproducible; a step holds one extra
-    velocity array while it runs.  Alone, a run's sweep works on the
-    step's own array; only runs that share a sweep are copied into one.
+    direction.  The bath kick is drawn inline: only the runs of
+    `run_to_steady` and `run_many` draw kicks ahead (`_Run.move`).
     """
-    [error] = _step_all([(ens, config, model)])
+    [error] = _step_all([_Move(ens, config, model)])
     if error is not None:
         raise error
     return ens
@@ -422,7 +395,10 @@ def _fit_slope(ts: np.ndarray, ys: np.ndarray) -> float:
 
 
 class _Run:
-    """A run to steady in progress: its job, its ensemble and its series."""
+    """A run to steady in progress: its job, its ensemble, its series and
+    `ahead`, the (future, buffer) of its next kick if the helper draws it."""
+
+    ahead = None
 
     def __init__(self, config: EngineConfig, model: RestitutionModel,
                  init: InitialCondition):
@@ -432,6 +408,22 @@ class _Run:
         self.spec = DissipationSpec(model)
         self.series: list[tuple] = []
         self.converged = False
+
+    def move(self) -> _Move:
+        """This step's move, on the kick drawn ahead for it, if any.  The next
+        kick, of `_helper.MIN_SIZE` (2^15) elements or more, is queued first:
+        the helper runs tasks in order, so it draws this step's kick first
+        and the next one while this step sweeps.  Its buffer is allocated
+        here, as one a thread allocates grows the peak RSS by more than its
+        size (glibc gives threads their own arenas)."""
+        ens, config = self.ens, self.config
+        kick, self.ahead = self.ahead, None
+        if config.mu > 0.0 and 3 * ens.n >= _helper.MIN_SIZE:
+            buffer = np.empty((ens.n, 3))
+            scale = math.sqrt(2.0 * config.mu * config.dt)
+            self.ahead = (_helper.submit(_draw_kick, config.seed,
+                                         ens.step_count + 1, scale, buffer), buffer)
+        return _Move(ens, config, self.model, kick)
 
     def sample(self) -> bool:
         """After a step, take the series row if one is due and test the
@@ -450,9 +442,8 @@ class _Run:
                 tail = self.series[-config.window:]
                 ts = np.array([r[1] for r in tail])
                 m1s = np.array([r[2] for r in tail])
-                slope = _fit_slope(ts, m1s)
                 span = ts[-1] - ts[0]
-                if abs(slope) * span < config.tol * float(np.mean(m1s)):
+                if abs(_fit_slope(ts, m1s)) * span < config.tol * float(np.mean(m1s)):
                     self.converged = True
         return self.converged or ens.step_count >= config.max_steps
 
@@ -462,9 +453,7 @@ class _Run:
         ens, series = self.ens, self.series
         if ens.velocities.base is not None:
             ens.velocities = ens.velocities.copy()
-        window = series[-self.config.window:] if series else []
-        arr = np.array(window) if window else np.zeros((0, len(SERIES_COLUMNS)))
-        means = (arr.mean(axis=0) if len(arr)
+        means = (np.array(series[-self.config.window:]).mean(axis=0) if series
                  else np.full(len(SERIES_COLUMNS), np.nan))
         tail = tail_integral(ens, default_tail_rate(ens))
         return ens, SteadyReport(
@@ -502,19 +491,16 @@ def _run_lockstep(jobs) -> list:
             outcomes[k] = exc
             break
     while live:
-        errors = _step_all([(run.ens, run.config, run.model) for _, run in live])
+        errors = _step_all([run.move() for _, run in live])
         for (k, _), error in zip(live, errors):
             if error is not None:
                 outcomes[k] = error
                 live = [(j, run) for j, run in live if j < k]
                 break
-        going = []
         for k, run in live:
             if run.sample():
                 outcomes[k] = run.report()
-            else:
-                going.append((k, run))
-        live = going
+        live = [(k, run) for k, run in live if outcomes[k] is None]
     return outcomes
 
 
@@ -589,10 +575,8 @@ def run_many(jobs) -> list:
 def save_snapshot(path, ens: Ensemble) -> None:
     """Header line (size, clock and ledger) plus raw little-endian float64
     velocities."""
-    fields = [f"N={ens.n}"]
-    fields += [f"{name}={int(getattr(ens, name))}" for name in _SNAPSHOT_INTS]
-    fields += [f"{name}={float(getattr(ens, name))!r}"
-               for name in _SNAPSHOT_FLOATS]
+    fields = [f"N={ens.n}"] + [f"{name}={kind(getattr(ens, name))!r}"
+                               for name, kind, _, _ in _SNAPSHOT_FIELDS]
     header = f"{SNAPSHOT_MAGIC} {' '.join(fields)}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -604,7 +588,7 @@ def load_snapshot(path) -> Ensemble:
 
     Any other header is rejected, the older format's included: it carries no
     step count, so a run resumed from it would replay the early Philox
-    streams."""
+    streams.  So is a value outside its range in `_SNAPSHOT_FIELDS`."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").split()
         if not header or header[0] != SNAPSHOT_MAGIC:
@@ -612,12 +596,15 @@ def load_snapshot(path) -> Ensemble:
         try:
             fields = dict(item.split("=", 1) for item in header[1:])
             n = int(fields["N"])
-            state = {name: int(fields[name]) for name in _SNAPSHOT_INTS}
-            state.update((name, float(fields[name]))
-                         for name in _SNAPSHOT_FLOATS)
+            state = {name: kind(fields[name])
+                     for name, kind, _, _ in _SNAPSHOT_FIELDS}
         except (KeyError, ValueError):
             raise InputError("malformed snapshot header") from None
         body = fh.read()
+    for name, _, low, high in _SNAPSHOT_FIELDS:
+        if not low <= state[name] < high:  # NaN fails too
+            raise InputError(f"snapshot header {name}={state[name]!r} must be "
+                             f"finite and in [{low:g}, {high:g})")
     if n < 2 or len(body) != 24 * n:
         raise InputError(f"snapshot body holds {len(body)} bytes; "
                          f"N={n} needs {24 * n}")

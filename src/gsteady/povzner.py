@@ -33,8 +33,8 @@ class PovznerCase:
     p: float
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise InputError("moment exponent p must be at least 1")
+        if not 1.0 <= self.p < np.inf:  # NaN fails too
+            raise InputError(f"moment exponent p = {self.p} must be finite and >= 1")
 
     @property
     def a_const(self) -> float:

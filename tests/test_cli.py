@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -380,11 +381,16 @@ def test_povzner_check_subcommand(runner, tmp_path):
 
 
 def test_povzner_check_bad_input_exits_1(runner, tmp_path):
-    """p < 2 and a pair count below 1 give a message and exit 1, no traceback."""
+    """p < 2, a non-finite p and a pair count below 1 give a message and
+    exit 1, no traceback and no warning."""
     out = tmp_path / "pov.csv"
     for args, message in ((["--p", "1.5"], "the clean bound needs p >= 2"),
+                          (["--p", "nan"], "must be finite and >= 1"),
+                          (["--p", "inf"], "must be finite and >= 1"),
                           (["--pairs", "0"], "0 is not in the range x>=1")):
-        res = runner.invoke(main, ["povzner-check", *args, "--out", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning ends the run instead
+            res = runner.invoke(main, ["povzner-check", *args, "--out", str(out)])
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert message in res.output

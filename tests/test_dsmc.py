@@ -71,6 +71,20 @@ def test_config_rejects_non_finite(key, value):
         build_setup(parse_config_text(text + f"{cfg_key} = {value}\n"))
 
 
+@pytest.mark.parametrize("key", ["n", "seed", "max_steps", "window",
+                                 "sample_every", "diss_pairs"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+def test_config_rejects_non_integral_counts(key, value):
+    """A float count would alias seeds (1.5 runs seed 1's streams), round
+    (sample_every=1.5 samples every 3 steps) or fail later with a bare
+    TypeError; numpy integers pass."""
+    base = dict(n=10, dt=0.01, mu=0.1)
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+        EngineConfig(**{**base, key: value})
+    cfg = EngineConfig(**{**base, key: np.int64(4)})
+    assert getattr(cfg, key) == 4
+
+
 def test_initial_conditions():
     cfg = small_config(n=4000)
     ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=0.7))
@@ -399,6 +413,43 @@ def test_snapshot_with_nan_rejected(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("step_count", "-3"), ("step_count", str(10 ** 20)),
+    ("step_count", str(2 ** 61)), ("n_collisions", "-7"),
+    ("n_collisions", str(10 ** 400)), ("t", "nan"), ("bath_energy", "inf"),
+    ("recenter_energy", "-inf"), ("collision_loss", "-1e-300"),
+    ("collision_prob_ema", "nan"), ("collision_prob_ema", "-0.5"),
+])
+def test_snapshot_rejects_out_of_range_header(tmp_path, field, value):
+    """A header value no run reaches is an InputError, not a NaN clock, an
+    infinite ledger, a negative collision probability, a rate check that a
+    NaN switches off, or a bare OverflowError from the Philox key at the
+    next step, or a step count whose Philox key word numpy would pass
+    through float64, aliasing streams.  The largest step count that keeps
+    its key words exact loads and steps."""
+    cfg = small_config()
+    ens = initial_ensemble(cfg, InitialCondition("maxwellian", t0=1.0))
+    path = tmp_path / "snap.bin"
+    save_snapshot(path, ens)
+    header, body = path.read_bytes().split(b"\n", 1)
+
+    def load_with(text):
+        edited = re.sub(rf" {field}=\S+".encode(), f" {field}={text}".encode(),
+                        header)
+        assert edited != header
+        path.write_bytes(edited + b"\n" + body)
+        return load_snapshot(path)
+
+    with pytest.raises(InputError, match=f"snapshot header {field}="):
+        load_with(value)
+    if field == "step_count":
+        back = load_with(str(2 ** 61 - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on a float64 key
+            step(back, cfg, constant(0.5))
+        assert back.step_count == 2 ** 61
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_step_with_nan_raises_and_restores(mu):
     """A NaN velocity stops the step before the collisions, which would
@@ -560,14 +611,8 @@ def test_run_many_reraises_worker_error(monkeypatch):
         run_many([_jobs()[0], bad])
 
 
-# The smallest N whose bath kick is prefetched on the helper thread.
+# The smallest N whose bath kick a run draws ahead on the helper thread.
 N_PREFETCH = _helper.MIN_SIZE // 3 + 1
-
-
-def _drop_pending():
-    """Wait for every queued helper task, then forget every pending kick."""
-    _helper.join()
-    dsmc._pending.clear()
 
 
 def _prefetch_config(**kw):
@@ -576,16 +621,9 @@ def _prefetch_config(**kw):
     return EngineConfig(**base)
 
 
-def _kick_key(ens, cfg):
-    return (cfg.seed, ens.step_count, ens.velocities.shape,
-            math.sqrt(2.0 * cfg.mu * cfg.dt))
-
-
-def _stepped(cfg, model, init, steps, before_step=None):
+def _stepped(cfg, model, init, steps):
     ens = initial_ensemble(cfg, init)
     for _ in range(steps):
-        if before_step is not None:
-            before_step(ens)
         step(ens, cfg, model)
     return ens
 
@@ -599,95 +637,55 @@ def _assert_same_state(got, want):
 def test_kick_draw_is_normal_bit_for_bit(scale):
     """_draw_kick fills a buffer with exactly normal(0.0, scale), the sign
     of every zero included (numpy computes 0.0 + scale * z)."""
-    key = (31, 5, (1000, 3), scale)
-    out = np.empty(key[2])
-    dsmc._draw_kick(key, out)
+    out = np.empty((1000, 3))
+    dsmc._draw_kick(31, 5, scale, out)
     want = dsmc._stream(31, 5, dsmc._STREAM_BATH).normal(0.0, scale,
-                                                         size=key[2])
+                                                         size=out.shape)
     np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
 
 
-def test_prefetch_dropped_equals_ordinary():
-    """Above the threshold each step leaves step + 1's kick pending and the
-    next step takes it; dropping it before every step (every kick drawn
-    inline) changes no bit of the velocities or the ledger."""
-    cfg = _prefetch_config()
-    model = rescale(power_law(1.0, 0.2), 0.1)
-    init = InitialCondition("maxwellian", t0=1.5)
-
-    def expect_hit(ens):
-        if ens.step_count > 0:
-            assert list(dsmc._pending) == [_kick_key(ens, cfg)]
-
-    ordinary = _stepped(cfg, model, init, 8, expect_hit)
-    inline = _stepped(cfg, model, init, 8, lambda ens: _drop_pending())
-    _drop_pending()
-    _assert_same_state(ordinary, inline)
-    assert ordinary.bath_energy != 0.0
+# Filled, in this process, by a kick draw on the helper thread that is
+# still running when run_many forks its pool.
+_PARENT_KICK: list = []
+# The lockstep loop, for pool-worker stand-ins that replace it in run_many.
+_run_lockstep = dsmc._run_lockstep
 
 
-def test_prefetch_two_ensembles_interleaved():
-    """Two ensembles with one seed and shape, stepped alternately, share the
-    one slot; each ends as it would alone."""
-    cfg = _prefetch_config(seed=22)
-    model = constant(0.6)
-    inits = (InitialCondition("maxwellian", t0=1.0),
-             InitialCondition("bimodal", v0=1.3))
-    alone = [_stepped(cfg, model, init, 6) for init in inits]
-    pair = [initial_ensemble(cfg, init) for init in inits]
-    for _ in range(6):
-        for ens in pair:
-            step(ens, cfg, model)
-    _drop_pending()
-    for got, want in zip(pair, alone):
-        _assert_same_state(got, want)
+def _runs_and_parent_kick(share):
+    """In a pool worker: the share's runs, each beside the parent's kick
+    buffer as the fork left it."""
+    return [(_PARENT_KICK[0].copy(), outcome)
+            for outcome in _run_lockstep(share)]
 
 
-def test_prefetch_retried_step_equals_clean_run(monkeypatch):
-    """A step that raises after taking its kick leaves step + 1's kick
-    pending; the retried step must draw its own kick, not take that one."""
-    cfg = _prefetch_config(seed=4, mu=0.05)
-    model = constant(0.5)
-    init = InitialCondition("maxwellian", t0=1.0)
-    clean = _stepped(cfg, model, init, 4)
-    ens = initial_ensemble(cfg, init)
-    step(ens, cfg, model)
-    with monkeypatch.context() as patch:
-        patch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
-        with pytest.raises(MajorantViolation):
-            step(ens, cfg, model)
-    assert ens.step_count == 1
-    assert list(dsmc._pending) == [(cfg.seed, 2) + _kick_key(ens, cfg)[2:]]
-    for _ in range(3):
-        step(ens, cfg, model)
-    _drop_pending()
-    _assert_same_state(ens, clean)
-
-
-def test_run_many_while_prefetch_pending(monkeypatch):
-    """A fork waits for the pending draw, so forked workers that take it get
-    the finished kick: run_many equals the in-process runs while a slow
-    prefetch of step 0 is still running in the parent."""
+def test_run_many_while_helper_draws_a_kick(monkeypatch):
+    """A fork waits for the helper's queued tasks: run_many, started while
+    a slow kick draw still runs on the parent's helper thread, hands its
+    workers the finished buffer, and its runs equal the in-process runs."""
     cfg = _prefetch_config(seed=23, max_steps=10, window=2, sample_every=5,
                            diss_pairs=2000)
     jobs = [(cfg, power_law(1.0, 0.2), InitialCondition("maxwellian", t0=1.0)),
             (cfg, constant(0.7), InitialCondition("bimodal", v0=1.5))]
     serial = [run_to_steady(*job) for job in jobs]
-    _drop_pending()
-    draw = dsmc._draw_kick
+    scale = math.sqrt(2.0 * cfg.mu * cfg.dt)
+    want = np.empty((cfg.n, 3))
+    dsmc._draw_kick(cfg.seed, 0, scale, want)
 
-    def slow_draw(key, out):
-        if key[1] == 0:
-            time.sleep(0.3)
-        draw(key, out)
+    def slow_draw(*args):
+        time.sleep(0.3)
+        dsmc._draw_kick(*args)
 
-    monkeypatch.setattr(dsmc, "_draw_kick", slow_draw)
+    _PARENT_KICK[:] = [np.zeros((cfg.n, 3))]
+    pending = _helper.submit(slow_draw, cfg.seed, 0, scale, _PARENT_KICK[0])
+    assert not pending.done()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    dsmc._draw_ahead((cfg.seed, 0, (cfg.n, 3), math.sqrt(2.0 * cfg.mu * cfg.dt)))
+    monkeypatch.setattr(dsmc, "_run_lockstep", _runs_and_parent_kick)
     got = run_many(jobs)
-    _drop_pending()
-    _assert_runs_equal(got, serial)
+    assert pending.done()
+    for kick, _ in got:
+        np.testing.assert_array_equal(kick, want)
+    _assert_runs_equal([outcome for _, outcome in got], serial)
 
 
 def _spy_helpers(monkeypatch):
@@ -712,14 +710,21 @@ def _spy_helpers(monkeypatch):
     return started, ran
 
 
+def _helper_run_config(**kw):
+    base = dict(dt=0.2, max_steps=10, window=2, sample_every=5,
+                diss_pairs=3000)
+    base.update(kw)
+    return _prefetch_config(**base)
+
+
 def _helper_starts_in_worker(*job):
-    """Run, in a pool worker, a step whose kick is above the helper's
+    """Run, in a pool worker, a run whose kicks are above the helper's
     threshold and a psi_e above its split threshold; return the threshold,
     the tasks submitted and whether the worker has no helper pool."""
     with pytest.MonkeyPatch.context() as patch:
         started, _ = _spy_helpers(patch)
-        _stepped(_prefetch_config(dt=0.2), constant(0.6),
-                 InitialCondition("maxwellian", t0=1.0), 1)
+        _run_lockstep([(_helper_run_config(max_steps=3), constant(0.6),
+                        InitialCondition("maxwellian", t0=1.0))])
         psi_e(DissipationSpec(constant(0.6)), np.ones(4 * 256))
     return _helper.MIN_SIZE, started, _helper._pool is None
 
@@ -741,51 +746,77 @@ def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
     assert _helper.MIN_SIZE == 1 << 15
 
 
-def test_batch_runs_take_their_prefetched_kicks(monkeypatch):
-    """Two N_PREFETCH runs in one in-process batch each take the kick the
-    helper drew ahead on every step after the first: a run's miss drops
-    only stale kicks, not the other run's pending one."""
-    _drop_pending()
+def _kicks_of(monkeypatch, call, *args):
+    """call(*args) in this process; return the (seed, step) of each kick
+    drawn on the main thread and the names of the tasks submitted."""
     inline = []
     draw = dsmc._draw_kick
 
-    def draw_kick(key, out):
+    def draw_kick(seed, step, scale, out):
         if threading.current_thread() is threading.main_thread():
-            inline.append(key[:2])
-        draw(key, out)
+            inline.append((seed, step))
+        draw(seed, step, scale, out)
 
     monkeypatch.setattr(dsmc, "_draw_kick", draw_kick)
     started, _ = _spy_helpers(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
+    call(*args)
+    _helper.join()
+    return sorted(inline), started
+
+
+def test_run_takes_its_prefetched_kicks(monkeypatch):
+    """An N_PREFETCH run_to_steady draws only its step-0 kick inline and
+    takes the kick the helper drew ahead on every later step."""
     cfg = _helper_run_config(seed=28)
-    run_many([(cfg, constant(0.6), InitialCondition("maxwellian", t0=1.0)),
-              (dataclasses.replace(cfg, seed=29), viscoelastic(1.0),
-               InitialCondition("bimodal", v0=1.5))])
-    _drop_pending()
-    assert sorted(inline) == [(28, 0), (29, 0)]
+    inline, started = _kicks_of(monkeypatch, run_to_steady, cfg, constant(0.6),
+                                InitialCondition("maxwellian", t0=1.0))
+    assert inline == [(28, 0)]
+    assert started.count("draw_kick") == cfg.max_steps
+
+
+def test_batch_runs_take_their_prefetched_kicks(monkeypatch):
+    """Two N_PREFETCH runs in one in-process batch each take the kick the
+    helper drew ahead for them on every step after the first."""
+    cfg = _helper_run_config(seed=28)
+    inline, started = _kicks_of(monkeypatch, run_many, [
+        (cfg, constant(0.6), InitialCondition("maxwellian", t0=1.0)),
+        (dataclasses.replace(cfg, seed=29), viscoelastic(1.0),
+         InitialCondition("bimodal", v0=1.5))])
+    assert inline == [(28, 0), (29, 0)]
     assert started.count("draw_kick") == 2 * cfg.max_steps
 
 
+def test_step_draws_every_kick_inline(monkeypatch):
+    """A lone step() draws its kick inline and submits no helper task, at
+    N_PREFETCH as below it, and equals the steps of a run that took its
+    kicks from the helper."""
+    started, _ = _spy_helpers(monkeypatch)
+    cfg = _helper_run_config(seed=30, max_steps=4)
+    model = rescale(power_law(1.0, 0.2), 0.1)
+    init = InitialCondition("maxwellian", t0=1.5)
+    for n in (N_PREFETCH - 1, N_PREFETCH):
+        ens = _stepped(dataclasses.replace(cfg, n=n), model, init, 4)
+    assert started == [] and ens.bath_energy != 0.0
+    ran, _ = run_to_steady(cfg, model, init)
+    _helper.join()
+    assert started == ["_draw_kick"] * 4
+    _assert_same_state(ens, ran)
+
+
 def test_no_prefetch_below_threshold(monkeypatch):
-    """Below _helper.MIN_SIZE elements every kick is drawn inline, with no
-    task submitted; at the threshold each step submits one kick draw."""
-    _drop_pending()
+    """Below _helper.MIN_SIZE elements a run draws every kick inline, with
+    no task submitted; at the threshold each step submits one kick draw."""
     started, _ = _spy_helpers(monkeypatch)
     model = constant(0.6)
     init = InitialCondition("maxwellian", t0=1.0)
-    _stepped(_prefetch_config(n=N_PREFETCH - 1), model, init, 3)
-    assert started == [] and dsmc._pending == {}
-    _stepped(_prefetch_config(), model, init, 3)
-    _drop_pending()
+    base = dict(max_steps=3, window=2, sample_every=3, diss_pairs=100)
+    run_to_steady(_prefetch_config(n=N_PREFETCH - 1, **base), model, init)
+    assert started == []
+    run_to_steady(_prefetch_config(**base), model, init)
+    _helper.join()
     assert started == ["_draw_kick"] * 3
-
-
-def _helper_run_config(**kw):
-    base = dict(dt=0.2, max_steps=10, window=2, sample_every=5,
-                diss_pairs=3000)
-    base.update(kw)
-    return _prefetch_config(**base)
 
 
 def test_helper_draws_equal_inline_draws(monkeypatch):
@@ -803,7 +834,7 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
         helped = run_to_steady(cfg, model, init)
     finally:
         sys.setswitchinterval(interval)
-    _drop_pending()
+    _helper.join()
     assert set(started) == {"_draw_kick", "_psi_blocks"}
     assert started.count("_draw_kick") == cfg.max_steps
     monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
@@ -816,38 +847,36 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
 
 
 def test_violation_while_helper_draws(monkeypatch):
-    """A step that raises MajorantViolation while the helper is still
-    drawing the next step's kick leaves the ensemble as it was; retried, it
-    draws its own kick and the run ends as a clean one does."""
+    """A run's step that raises MajorantViolation while the helper is still
+    drawing the next step's kick leaves the ensemble as it was; step()
+    carries it on from there to a clean run's state."""
     cfg = _helper_run_config(seed=25, mu=0.05, dt=0.4)
     model = constant(0.5)
     init = InitialCondition("maxwellian", t0=4.0)
     clean = _stepped(cfg, model, init, 4)
-    _drop_pending()
-    ens = initial_ensemble(cfg, init)
-    step(ens, cfg, model)
+    run = dsmc._Run(cfg, model, init)
+    assert dsmc._step_all([run.move()]) == [None]
+    ens = run.ens
     before = _ledger_state(ens)
     draw = dsmc._draw_kick
 
-    def slow_draw(key, out):
-        if key[1] == 2:  # the kick the raising step starts on the helper
+    def slow_draw(seed, step, scale, out):
+        if step == 2:  # the kick the raising step queues on the helper
             time.sleep(0.3)
-        draw(key, out)
+        draw(seed, step, scale, out)
 
     with monkeypatch.context() as patch:
         patch.setattr(dsmc, "_draw_kick", slow_draw)
         patch.setattr(dsmc, "_UMAX_FACTOR", 0.355)
-        with pytest.raises(MajorantViolation):
-            step(ens, cfg, model)
-        [(pending, _)] = dsmc._pending.values()
-        assert not pending.done()
+        [error] = dsmc._step_all([run.move()])
+        pending, _ = run.ahead
+        assert isinstance(error, MajorantViolation) and not pending.done()
     pending.result(timeout=30.0)
     after = _ledger_state(ens)
     np.testing.assert_array_equal(after[0], before[0])
     assert after[1:] == before[1:]
     for _ in range(3):
         step(ens, cfg, model)
-    _drop_pending()
     _assert_same_state(ens, clean)
 
 
@@ -858,7 +887,7 @@ def test_at_most_one_helper_alive(monkeypatch):
     started, ran = _spy_helpers(monkeypatch)
     run_to_steady(_helper_run_config(seed=26), viscoelastic(1.0),
                   InitialCondition("maxwellian", t0=1.0))
-    _drop_pending()
+    _helper.join()
     assert len(ran) == len(started) > 10
     assert len({ident for ident, _, _ in ran}) == 1
     assert {name.startswith("gsteady-helper") for _, name, _ in ran} == {True}
@@ -867,10 +896,10 @@ def test_at_most_one_helper_alive(monkeypatch):
 
 def test_forked_child_starts_its_own_helper():
     """A child forked after the helper has run a task has no helper thread
-    and starts its own: it steps an N_PREFETCH ensemble, kicks drawn ahead,
-    to the parent's velocities bit for bit.  A child that waited on the
-    parent's thread would hang; it is killed at the deadline."""
-    cfg = _prefetch_config(seed=27)
+    and starts its own: its N_PREFETCH run, kicks drawn ahead, ends at the
+    parent's velocities bit for bit.  A child that waited on the parent's
+    thread would hang; it is killed at the deadline."""
+    cfg = _helper_run_config(seed=27, max_steps=3)
     model = constant(0.6)
     init = InitialCondition("maxwellian", t0=1.0)
     _helper.submit(int).result()
@@ -879,8 +908,7 @@ def test_forked_child_starts_its_own_helper():
     if pid == 0:
         try:
             os.close(read)
-            ens = _stepped(cfg, model, init, 3)
-            _drop_pending()
+            ens, _ = run_to_steady(cfg, model, init)
             os.write(write, hashlib.sha256(ens.velocities.tobytes())
                      .hexdigest().encode())
         finally:
@@ -896,6 +924,5 @@ def test_forked_child_starts_its_own_helper():
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert got is not None, "the forked child did not report within 30 s"
-    want = _stepped(cfg, model, init, 3)
-    _drop_pending()
+    want, _ = run_to_steady(cfg, model, init)
     assert got == hashlib.sha256(want.velocities.tobytes()).hexdigest()
