@@ -25,7 +25,7 @@ from .dsmc import (SERIES_COLUMNS, initial_ensemble, run_many, run_to_steady,
                    save_snapshot)
 from .errors import InputError
 from .observables import maxwellian_distance
-from .restitution import rescale
+from .restitution import CONSTANT, rescale
 from .scaling import two_sample_z
 from . import povzner as povzner_mod
 from . import verify as verify_mod
@@ -120,10 +120,15 @@ def sweep_lambda(config_path, lambdas, out):
         click.echo(f"lambda {bad[0]} outside (0, 1]", err=True)
         sys.exit(1)
     model = setup.model
+    if model.kind == CONSTANT:
+        click.echo("config error: sweep-lambda needs a power_law or viscoelastic"
+                   " law: a constant e(lambda r) = e0 has no quasi-elastic limit",
+                   err=True)
+        sys.exit(1)
     theta = theta_limit(model.a, model.gamma).theta
     spec = DissipationSpec(model)
     jobs = []
-    with _config_errors():  # a law with no steady temperature, as e0 = 1
+    with _config_errors():  # a law with no steady temperature in the bracket
         for lam in lambdas:
             cfg = dataclasses.replace(setup.engine, mu=lam ** model.gamma)
             init = dataclasses.replace(

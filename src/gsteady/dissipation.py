@@ -26,14 +26,15 @@ from .restitution import RestitutionModel, e_of_s
 # Rows of psi_e's argument evaluated together, in one (rows x 64 nodes)
 # scratch block that the law core overwrites.  The viscoelastic Newton solve
 # keeps five more arrays of the block's size; on a 2-core x86_64 host it
-# took 21.5 ns per element at 256 and at 512 rows, and 31 ns at 1024 rows,
-# where its arrays outgrow the cache.  From two blocks and _helper.MIN_SIZE
-# law evaluations (rows x 64 nodes) on, psi_e splits its blocks at a block
-# boundary, queues the second half on the long-lived helper thread and does
-# the first meanwhile (a fork waits for the queued half; a forked child
-# starts a helper thread of its own).  Fewer blocks leave the two threads
-# less often waiting for the interpreter lock: on 10,000 viscoelastic pairs
-# a split call took 14.8 ms at 256 rows, 11.0 ms at 512 and 13.3 ms at 1024.
+# took 16-23 ns per element at 256 and at 512 rows, and 23-26 ns at 1024
+# rows, where its arrays outgrow the cache.  From two blocks and
+# _helper.MIN_SIZE law evaluations (rows x 64 nodes) on, psi_e splits its
+# blocks at a block boundary, queues the second half on the long-lived
+# helper thread and does the first meanwhile (a fork waits for the queued
+# half; a forked child starts a helper thread of its own).  Fewer blocks
+# leave the two threads less often waiting for the interpreter lock: on
+# 10,000 viscoelastic pairs a split call took 11.7-12.5 ms at 256 rows,
+# 10.4-11.2 ms at 512 and 12.0-12.8 ms at 1024.
 PSI_BLOCK = 512
 
 

@@ -411,14 +411,16 @@ class _Run:
 
     def move(self) -> _Move:
         """This step's move, on the kick drawn ahead for it, if any.  The next
-        kick, of `_helper.MIN_SIZE` (2^15) elements or more, is queued first:
-        the helper runs tasks in order, so it draws this step's kick first
-        and the next one while this step sweeps.  Its buffer is allocated
-        here, as one a thread allocates grows the peak RSS by more than its
-        size (glibc gives threads their own arenas)."""
+        kick, of `_helper.MIN_SIZE` (2^15) elements or more, is queued first,
+        unless this is the run's last step by max_steps: the helper runs
+        tasks in order, so it draws this step's kick first and the next one
+        while this step sweeps.  Its buffer is allocated here, as one a
+        thread allocates grows the peak RSS by more than its size (glibc
+        gives threads their own arenas)."""
         ens, config = self.ens, self.config
         kick, self.ahead = self.ahead, None
-        if config.mu > 0.0 and 3 * ens.n >= _helper.MIN_SIZE:
+        if (config.mu > 0.0 and 3 * ens.n >= _helper.MIN_SIZE
+                and ens.step_count + 1 < config.max_steps):
             buffer = np.empty((ens.n, 3))
             scale = math.sqrt(2.0 * config.mu * config.dt)
             self.ahead = (_helper.submit(_draw_kick, config.seed,

@@ -23,8 +23,7 @@ VISCOELASTIC = "viscoelastic"
 
 VISCO_GAMMA = 0.2
 VISCO_GAMMA_BAR = 0.4
-_NEWTON_MAX_ITER = 200
-_NEWTON_STEP_TOL = 1e-15
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class RestitutionModel:
         if self.kind == POWER_LAW and not 0.0 < self.gamma <= 1.0:
             raise InputError("power-law exponent gamma must lie in (0, 1]")
         if self.kind == VISCOELASTIC and self.gamma != VISCO_GAMMA:
-            object.__setattr__(self, "gamma", VISCO_GAMMA)
+            raise InputError(f"the viscoelastic law fixes gamma = {VISCO_GAMMA}")
         if not 0.0 < self.lambda_scale <= 1.0:
             raise InputError("lambda_scale must lie in (0, 1]")
 
@@ -80,21 +79,24 @@ def scalar_or_array(out):
 
 
 def _visco_newton(c):
-    """Root y of y^5 + c y^3 = 1 per element of the array c, of any shape.
+    """Root y of g(y) = y^5 + c y^3 - 1 per element of the array c >= 0, of
+    any shape: _NEWTON_STEPS Newton steps for every element from
+    y0 = (1 + c)^(-1/3).
 
-    The quintic is increasing and convex on y > 0, so Newton from y = 1
-    decreases monotonically onto the root.  Each element stops at the first
-    step shorter than _NEWTON_STEP_TOL, so its value does not depend on the
-    rest of the array (c = 0 gives step 0, so y = 1).  The live elements are
-    updated in place under a mask until none is live; every array the loop
-    writes is allocated once, before it.
+    g is increasing and convex on y > 0, and g(y0) = (y0^2 - 1)/(1 + c) <= 0,
+    so the first step lands right of the root and every later step decreases
+    onto it quadratically.  In long double the start is at most 5.5 % off
+    (near c = 1.55) and four steps leave a relative error of at most 4.1e-18,
+    far below 2^-53, so each y lies within 1 ulp of the double nearest the
+    root for c from 0 to 1e300 (c = 0 gives y0 = 1, the root itself).  Every
+    element takes the same steps, so its value depends only on its own c.
+    Every array the loop writes is allocated once, before it.
     """
-    y = np.ones_like(c)
+    y = c + 1.0
+    y **= -1.0 / 3.0
     y2, step, dg = np.empty((3,) + c.shape)
     c3 = 3.0 * c
-    on = np.ones(c.shape, dtype=bool)
-    stop = np.empty_like(on)
-    for _ in range(_NEWTON_MAX_ITER):
+    for _ in range(_NEWTON_STEPS):
         # step = g / dg, g = y^2 y (y^2 + c) - 1, dg = y^2 (5y y + 3c), each
         # grouped as written.
         np.multiply(y, y, out=y2)
@@ -107,11 +109,7 @@ def _visco_newton(c):
         dg += c3
         dg *= y2
         step /= dg
-        np.subtract(y, step, out=y, where=on)
-        np.less(np.abs(step, out=step), _NEWTON_STEP_TOL, out=stop)
-        on &= np.invert(stop, out=stop)
-        if not on.any():
-            break
+        y -= step
     return y
 
 

@@ -102,7 +102,7 @@ def _valid_values():
         return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
     unit = floats(0.0, 1.0, exclude_min=True)
-    return st.fixed_dictionaries({
+    values = st.fixed_dictionaries({
         "engine.N": st.integers(2, 10 ** 9),
         "engine.dt": floats(0.0, 1e300, exclude_min=True),
         "engine.mu": floats(0.0, 1e300),
@@ -124,6 +124,9 @@ def _valid_values():
         "run.sample_every": st.integers(1, 10 ** 6),
         "run.diss_pairs": st.integers(1, 10 ** 12),
     })
+    # The viscoelastic law takes no gamma but its own.
+    return values.map(lambda v: {**v, "restitution.gamma": 0.2}
+                      if v["restitution.kind"] == "viscoelastic" else v)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,13 +139,10 @@ def test_config_roundtrip_property(values):
     assert parse_config_text(text) == values
     setup = build_setup(parse_config_text(text))
     assert setup == build_setup(values)
-    law = setup.model.kind
     for key, (part, name, _) in KEYS.items():
         got = getattr(getattr(setup, part), name)
         if key == "restitution.kind":
             assert got == values[key].replace("powerlaw", "power_law")
-        elif key == "restitution.gamma" and law == "viscoelastic":
-            assert got == 0.2  # the viscoelastic law fixes its own exponent
         else:
             assert got == values[key]
 
@@ -167,13 +167,18 @@ def test_simulate_missing_key_exits_1(runner, tmp_path):
 
 def test_simulate_bad_model_value_exits_1(runner, tmp_path):
     """A value the restitution model refuses is a config error, not a
-    traceback."""
-    cfg = write(tmp_path, BASE_CONFIG.replace("restitution.e0 = 1.0",
-                                              "restitution.e0 = 1.5"))
-    result = runner.invoke(main, ["simulate", cfg])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit)
-    assert "config error: constant restitution requires e0 in (0, 1]" in result.output
+    traceback; a viscoelastic gamma is refused, not replaced by 0.2."""
+    for law, message in [
+            ("restitution.kind = constant\nrestitution.e0 = 1.5",
+             "constant restitution requires e0 in (0, 1]"),
+            ("restitution.kind = viscoelastic\nrestitution.gamma = 0.5",
+             "the viscoelastic law fixes gamma = 0.2")]:
+        cfg = write(tmp_path, BASE_CONFIG.replace(
+            "restitution.kind = constant\nrestitution.e0 = 1.0", law))
+        result = runner.invoke(main, ["simulate", cfg])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"config error: {message}" in result.output
 
 
 def test_simulate_zero_diss_pairs_exits_1(runner, tmp_path):
@@ -298,20 +303,33 @@ def test_ensemble_energy_overflow_is_config_error(runner, tmp_path,
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_sweep_lambda_elastic_law_exits_1(runner, tmp_path, monkeypatch):
-    """An elastic law under a bath dissipates nothing, so no lambda has a
-    steady temperature to start from: sweep-lambda exits 1 with one
-    `config error:` line before run_many starts any run."""
+def _assert_sweep_rejects(runner, tmp_path, monkeypatch, config):
+    """sweep-lambda on a constant-law config exits 1 with one `config error:`
+    line, before any ansatz or run and without writing its CSV."""
     runs = []
     monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    monkeypatch.setattr("gsteady.cli.steady_temperature_ansatz", runs.append)
     out = tmp_path / "sweep.csv"
-    result = runner.invoke(main, ["sweep-lambda", write(tmp_path, BASE_CONFIG),
-                                  "-l", "0.5", "--out", str(out)])
+    result = runner.invoke(main, ["sweep-lambda", write(tmp_path, config),
+                                  "-l", "0.5", "-l", "0.2", "--out", str(out)])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("config error: no steady temperature")
-    assert result.output.count("\n") == 1
+    assert result.output == ("config error: sweep-lambda needs a power_law or "
+                             "viscoelastic law: a constant e(lambda r) = e0 "
+                             "has no quasi-elastic limit\n")
     assert runs == [] and not out.exists()
+
+
+def test_sweep_lambda_elastic_law_exits_1(runner, tmp_path, monkeypatch):
+    """An elastic law is a constant law, with no quasi-elastic limit."""
+    _assert_sweep_rejects(runner, tmp_path, monkeypatch, BASE_CONFIG)
+
+
+def test_sweep_lambda_constant_law_exits_1(runner, tmp_path, monkeypatch):
+    """constant(0.5) has no quasi-elastic limit either, so sweep-lambda
+    writes no theta_oracle, mu or rate fit for it."""
+    _assert_sweep_rejects(runner, tmp_path, monkeypatch, BASE_CONFIG.replace(
+        "restitution.e0 = 1.0", "restitution.e0 = 0.5"))
 
 
 def test_simulate_elastic_reaches_t0(runner, tmp_path):

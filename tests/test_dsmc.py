@@ -768,12 +768,13 @@ def _kicks_of(monkeypatch, call, *args):
 
 def test_run_takes_its_prefetched_kicks(monkeypatch):
     """An N_PREFETCH run_to_steady draws only its step-0 kick inline and
-    takes the kick the helper drew ahead on every later step."""
+    takes the kick the helper drew ahead on every later step; its last step
+    queues none."""
     cfg = _helper_run_config(seed=28)
     inline, started = _kicks_of(monkeypatch, run_to_steady, cfg, constant(0.6),
                                 InitialCondition("maxwellian", t0=1.0))
     assert inline == [(28, 0)]
-    assert started.count("draw_kick") == cfg.max_steps
+    assert started.count("draw_kick") == cfg.max_steps - 1
 
 
 def test_batch_runs_take_their_prefetched_kicks(monkeypatch):
@@ -785,7 +786,7 @@ def test_batch_runs_take_their_prefetched_kicks(monkeypatch):
         (dataclasses.replace(cfg, seed=29), viscoelastic(1.0),
          InitialCondition("bimodal", v0=1.5))])
     assert inline == [(28, 0), (29, 0)]
-    assert started.count("draw_kick") == 2 * cfg.max_steps
+    assert started.count("draw_kick") == 2 * (cfg.max_steps - 1)
 
 
 def test_step_draws_every_kick_inline(monkeypatch):
@@ -801,13 +802,14 @@ def test_step_draws_every_kick_inline(monkeypatch):
     assert started == [] and ens.bath_energy != 0.0
     ran, _ = run_to_steady(cfg, model, init)
     _helper.join()
-    assert started == ["_draw_kick"] * 4
+    assert started == ["_draw_kick"] * 3
     _assert_same_state(ens, ran)
 
 
 def test_no_prefetch_below_threshold(monkeypatch):
     """Below _helper.MIN_SIZE elements a run draws every kick inline, with
-    no task submitted; at the threshold each step submits one kick draw."""
+    no task submitted; at the threshold each step but the last submits one
+    kick draw."""
     started, _ = _spy_helpers(monkeypatch)
     model = constant(0.6)
     init = InitialCondition("maxwellian", t0=1.0)
@@ -816,7 +818,7 @@ def test_no_prefetch_below_threshold(monkeypatch):
     assert started == []
     run_to_steady(_prefetch_config(**base), model, init)
     _helper.join()
-    assert started == ["_draw_kick"] * 3
+    assert started == ["_draw_kick"] * 2
 
 
 def test_helper_draws_equal_inline_draws(monkeypatch):
@@ -836,7 +838,7 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
         sys.setswitchinterval(interval)
     _helper.join()
     assert set(started) == {"_draw_kick", "_psi_blocks"}
-    assert started.count("_draw_kick") == cfg.max_steps
+    assert started.count("_draw_kick") == cfg.max_steps - 1
     monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
     _helper.run_inline()
     started.clear()

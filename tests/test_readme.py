@@ -1,9 +1,11 @@
-"""The README's configuration example and usage block stay in step with the
-code: the example parses and builds, and every command it shows exists."""
+"""The README's configuration example, usage block and verify row count stay
+in step with the code: the example parses and builds, every command it
+shows exists, and `gsteady verify all` gives the rows it names."""
 
 import re
 from pathlib import Path
 
+from gsteady import verify
 from gsteady.cli import main
 from gsteady.config import build_setup, parse_config_text
 
@@ -26,3 +28,8 @@ def test_readme_usage_commands_exist():
     commands = re.findall(r"^gsteady (\S+)", usage, re.M)
     assert len(commands) >= 5
     assert set(commands) <= set(main.commands)
+
+
+def test_readme_verify_all_row_count():
+    rows = int(re.search(r"\(every check, (\d+) rows\)", README).group(1))
+    assert rows == len(verify.run_suite("all"))
