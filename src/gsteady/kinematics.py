@@ -143,16 +143,18 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
     Node (i, j) is the collision with direction
     sigma_ij = s_i uhat + sin_i (cos phi_j e1 + sin phi_j e2), where s_i is
     the i-th Gauss-Legendre node, sin_i = sqrt(1 - s_i^2),
-    phi_j = 2 pi j / n_phi, uhat = u / |u| with u = v - v*,
-    e1 = uhat x p / |uhat x p| with p = (0, 1, 0) when |uhat_x| > 0.9 and
-    p = (1, 0, 0) otherwise, and e2 = uhat x e1.
+    phi_j = 2 pi j / n_phi, uhat = u / |u| with u = v - v*, e1 is the unit
+    vector along v_perp = v - (v.uhat) uhat (any unit vector normal to uhat
+    when v_perp = 0) and e2 = uhat x e1.  v* has the same v_perp, since u
+    is parallel to uhat.
 
-    No velocity is built.  With c = beta_i / 2 (beta at the node's impact
-    speed |u| sqrt((1 - s_i) / 2)), k = 2 c |u|, vu = v.uhat, wu = v*.uhat
-    and ring_j = cos phi_j v.e1 + sin phi_j v.e2 (v* gives the same ring,
-    since u is normal to e1 and e2),
-    |v'|^2 = |v|^2 - k (1 - s_i) (vu - c |u|) + k sin_i ring_j and
-    |v'*|^2 = |v*|^2 + k (1 - s_i) (wu + c |u|) - k sin_i ring_j.
+    No frame and no velocity is built: a pair enters only through |v|^2,
+    |v*|^2, vu = v.uhat, wu = v*.uhat and |v_perp|.  With c = beta_i / 2
+    (beta at the node's impact speed |u| sqrt((1 - s_i) / 2)) and
+    k = 2 c |u|,
+    |v'|^2 = |v|^2 - k (1 - s_i) (vu - c |u|) + k sin_i |v_perp| cos phi_j
+    and
+    |v'*|^2 = |v*|^2 + k (1 - s_i) (wu + c |u|) - k sin_i |v_perp| cos phi_j.
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
@@ -161,11 +163,9 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
     if np.any(un == 0.0):
         raise InputError("angular grid undefined for zero relative velocity")
     uhat = u / un[..., None]
-    # Orthonormal frame (uhat, e1, e2) around each relative velocity.
-    pick = np.where(np.abs(uhat[..., :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-    e1 = np.cross(uhat, pick)
-    e1 /= np.sqrt(_dot(e1, e1))[..., None]
-    e2 = np.cross(uhat, e1)
+    vu = _dot(v, uhat)[..., None]
+    # |v_perp| from the vector: sqrt(|v|^2 - vu^2) would cancel.
+    v_perp = v - vu * uhat
     s = quad.nodes
     w = 0.5 * quad.weights
     phi = 2.0 * np.pi * np.arange(quad.n_phi) / quad.n_phi
@@ -174,12 +174,10 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
     k = np.asarray(beta(model, un * np.sqrt(0.5 * (1.0 - s)))) * un
     half = 0.5 * k  # c |u|
     # The azimuth-free part, shape (..., n_s), and the ring term on top.
-    axial = (_dot(v, v)[..., None]
-             - k * (1.0 - s) * (_dot(v, uhat)[..., None] - half))
+    axial = _dot(v, v)[..., None] - k * (1.0 - s) * (vu - half)
     axial_s = (_dot(vstar, vstar)[..., None]
                + k * (1.0 - s) * (_dot(vstar, uhat)[..., None] + half))
-    ring = (np.cos(phi) * _dot(v, e1)[..., None]
-            + np.sin(phi) * _dot(v, e2)[..., None])
+    ring = np.sqrt(_dot(v_perp, v_perp))[..., None] * np.cos(phi)
     turn = (k * sin_t)[..., None] * ring[..., None, :]
     return axial[..., None] + turn, axial_s[..., None] - turn, w
 

@@ -14,6 +14,11 @@ from .restitution import RestitutionModel, beta, scalar_or_array
 from .restitution import theta as theta_map
 
 ROOT_TOL = 1e-12
+# Bisection steps of alpha_e: the fewest n with 2^-n < ROOT_TOL, i.e. 40.
+ROOT_HALVINGS = int(np.ceil(-np.log2(ROOT_TOL)))
+_F64MAX = float(np.finfo(float).max)
+# Largest argument of alpha_e whose bracket end 2 s is finite.
+ALPHA_MAX = _F64MAX / 2.0
 
 
 def _non_negative(x, name: str) -> np.ndarray:
@@ -32,29 +37,28 @@ def eta_e(model: RestitutionModel, r):
 def alpha_e(model: RestitutionModel, s):
     """Inverse of eta_e, bracketed on [s, 2s] by the sandwich bounds.
 
-    One value or an array.  Each element bisects until its own bracket is
-    shorter than ROOT_TOL * max(1, s), so its value does not depend on the
-    rest of the array: the live brackets are narrowed in place under a mask
-    until none is live.
+    One value or an array, each s at most ALPHA_MAX = f64max / 2 (InputError
+    above it).  Every element halves its bracket ROOT_HALVINGS = 40 times, so
+    the bracket ends shorter than ROOT_TOL * max(1, s), and an element's
+    value depends only on its own s.
     """
     s = _non_negative(s, "alpha_e")
     flat = s.reshape(-1)
     # s = 0 and an exact eta_e(s) = s both return s itself; their brackets
-    # stay at [0, 0], so that no midpoint overflows.
+    # stay at [0, 0], so that the elastic law takes any finite s.
     bisect = (flat != 0.0) & (eta_e(model, flat) - flat != 0.0)
     lo = np.where(bisect, flat, 0.0)
+    if np.any(lo > ALPHA_MAX):
+        raise InputError(f"alpha_e argument must be at most {ALPHA_MAX:.6g} "
+                         "(f64max / 2), so that its bracket [s, 2s] is finite")
     hi = 2.0 * lo
-    tol = ROOT_TOL * np.maximum(1.0, lo)
-    on = bisect.copy()
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    for _ in range(ROOT_HALVINGS):
+        # Halved before the sum, which would overflow above f64max / 3.
+        mid = 0.5 * lo + 0.5 * hi
         below = eta_e(model, mid) - flat <= 0.0
-        np.copyto(lo, mid, where=on & below)
-        np.copyto(hi, mid, where=on & ~below)
-        on &= ~(hi - lo < tol)
-        if not on.any():
-            break
-    out = np.where(bisect, 0.5 * (lo + hi), flat)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    out = np.where(bisect, 0.5 * lo + 0.5 * hi, flat)
     return scalar_or_array(out.reshape(s.shape))
 
 
@@ -63,7 +67,8 @@ def theta_prime(model: RestitutionModel, r):
     r = np.asarray(r, dtype=float)
     h = np.maximum(1e-6, 1e-6 * r)
     lo = np.maximum(r - h, 0.0)
-    hi = r + h
+    # The upper step stops at f64max, so that hi is finite for every finite r.
+    hi = r + np.minimum(h, _F64MAX - r)
     return scalar_or_array((theta_map(model, hi) - theta_map(model, lo))
                            / (hi - lo))
 

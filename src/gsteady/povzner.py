@@ -117,7 +117,10 @@ def battery(p: float, model: RestitutionModel, n_pairs: int,
     Returns (margins, normalized_margins); a failing constant would show
     as a negative normalized margin.  Pairs go through check_inequality, so
     p >= 2, in batches of PAIR_CHUNK, on the BATTERY_QUAD sphere grid.
+    n_pairs must be at least 1.
     """
+    if n_pairs < 1:
+        raise InputError("n_pairs must be at least 1")
     margins = np.empty(n_pairs)
     norms = np.empty(n_pairs)
     for start in range(0, n_pairs, PAIR_CHUNK):

@@ -24,6 +24,9 @@ VISCOELASTIC = "viscoelastic"
 VISCO_GAMMA = 0.2
 VISCO_GAMMA_BAR = 0.4
 _NEWTON_STEPS = 4
+# Largest s = (lambda_scale r)^(1/5) of a finite r.  The Newton solve forms
+# 3 c with c = a s, so a viscoelastic a must keep 3 (a _VISCO_S_MAX) finite.
+_VISCO_S_MAX = float(np.finfo(float).max) ** VISCO_GAMMA
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,11 @@ class RestitutionModel:
             raise InputError("power-law exponent gamma must lie in (0, 1]")
         if self.kind == VISCOELASTIC and self.gamma != VISCO_GAMMA:
             raise InputError(f"the viscoelastic law fixes gamma = {VISCO_GAMMA}")
+        if (self.kind == VISCOELASTIC
+                and 3.0 * (float(self.a) * _VISCO_S_MAX) == math.inf):
+            raise InputError("viscoelastic coefficient a must be below about "
+                             "1.3386e+246, so that e stays finite at every "
+                             "finite impact speed")
         if not 0.0 < self.lambda_scale <= 1.0:
             raise InputError("lambda_scale must lie in (0, 1]")
 

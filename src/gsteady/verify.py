@@ -18,6 +18,10 @@ from .restitution import (RestitutionModel, constant, eval_e, power_law,
                           rescale, viscoelastic)
 
 
+# Random (sigma, u) draws of check_maps' cone-map rows.
+CONE_SAMPLES = 200
+
+
 def _models() -> dict[str, RestitutionModel]:
     return {
         "constant_0.3": constant(0.3),
@@ -121,7 +125,7 @@ def check_maps():
     # Cone map roundtrip and Jacobian.
     worst_rt = 0.0
     worst_jac = 0.0
-    for _ in range(200):
+    for _ in range(CONE_SAMPLES):
         sigma = rng.normal(size=3)
         sigma /= np.linalg.norm(sigma)
         u = rng.normal(size=3)

@@ -124,8 +124,10 @@ def _valid_values():
         "run.sample_every": st.integers(1, 10 ** 6),
         "run.diss_pairs": st.integers(1, 10 ** 12),
     })
-    # The viscoelastic law takes no gamma but its own.
-    return values.map(lambda v: {**v, "restitution.gamma": 0.2}
+    # The viscoelastic law takes no gamma but its own, and no a above about
+    # 1.3386e246, where e at the largest impact speed would overflow.
+    return values.map(lambda v: {**v, "restitution.gamma": 0.2,
+                                 "restitution.a": min(v["restitution.a"], 1e246)}
                       if v["restitution.kind"] == "viscoelastic" else v)
 
 
@@ -167,18 +169,23 @@ def test_simulate_missing_key_exits_1(runner, tmp_path):
 
 def test_simulate_bad_model_value_exits_1(runner, tmp_path):
     """A value the restitution model refuses is a config error, not a
-    traceback; a viscoelastic gamma is refused, not replaced by 0.2."""
+    traceback; a viscoelastic gamma is refused, not replaced by 0.2, and a
+    viscoelastic a too large for a finite e is refused."""
     for law, message in [
             ("restitution.kind = constant\nrestitution.e0 = 1.5",
              "constant restitution requires e0 in (0, 1]"),
             ("restitution.kind = viscoelastic\nrestitution.gamma = 0.5",
-             "the viscoelastic law fixes gamma = 0.2")]:
+             "the viscoelastic law fixes gamma = 0.2"),
+            ("restitution.kind = viscoelastic\nrestitution.a = 1e308",
+             "viscoelastic coefficient a must be below")]:
         cfg = write(tmp_path, BASE_CONFIG.replace(
             "restitution.kind = constant\nrestitution.e0 = 1.0", law))
-        result = runner.invoke(main, ["simulate", cfg])
+        result = runner.invoke(main, ["simulate", cfg,
+                                      "--out-prefix", str(tmp_path / "x")])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"config error: {message}" in result.output
+        assert not (tmp_path / "x_series.csv").exists()
 
 
 def test_simulate_zero_diss_pairs_exits_1(runner, tmp_path):

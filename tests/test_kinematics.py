@@ -144,13 +144,16 @@ def test_dissipation_bridge(models, rng):
                 assert lhs == pytest.approx(ref, rel=1e-6)
 
 
-def grid_directions(v, vstar, quad):
-    """The node directions sigma_ij, of shape (m, n_s, n_phi, 3), built from
-    the frame rule that post_collision_grid documents."""
+def grid_directions(v, vstar, quad, rng):
+    """The node directions sigma_ij, of shape (m, n_s, n_phi, 3), in the
+    frame that post_collision_grid documents: e1 along
+    v_perp = v - (v.uhat) uhat, or any unit vector normal to uhat when
+    v_perp = 0, and e2 = uhat x e1."""
     u = v - vstar
     uhat = u / np.linalg.norm(u, axis=1, keepdims=True)
-    pick = np.where(np.abs(uhat[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-    e1 = np.cross(uhat, pick)
+    e1 = v - np.sum(v * uhat, axis=1, keepdims=True) * uhat
+    e1 = np.where(np.any(e1 != 0.0, axis=1, keepdims=True), e1,
+                  np.cross(uhat, random_unit(rng, len(v))))
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(uhat, e1)
     return sphere_grid(uhat, e1, e2, quad, 0.0)
@@ -171,9 +174,8 @@ def test_grid_matches_post_collision_sigma(models, rng):
     at the node's direction sigma_ij."""
     quad = AngularQuadrature(n_s=8, n_phi=6)
     v, vstar = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-    v[0] = vstar[0] + [2.0, 0.1, 0.0]  # u near the first axis
-    v[3] = vstar[3] + [0.92, 0.0, 0.39]  # |uhat_x| just above 0.9
-    sigma = grid_directions(v, vstar, quad)
+    v[0], vstar[0] = [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]  # v parallel to u
+    sigma = grid_directions(v, vstar, quad, rng)
     np.testing.assert_allclose(np.linalg.norm(sigma, axis=-1), 1.0, atol=1e-14)
     sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
     scale = (sq_norm(v) + sq_norm(vstar))[:, None, None]

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gsteady import maps
 from gsteady.errors import InputError
-from gsteady.restitution import constant, elastic, viscoelastic
+from gsteady.restitution import constant, elastic, power_law, viscoelastic
 
 from conftest import random_unit
 
@@ -47,6 +49,26 @@ def test_alpha_sandwich_and_edges():
     np.testing.assert_array_equal(maps.alpha_e(model, s[:3]),
                                   [0.0, 1e-100, maps.alpha_e(model, 1.0)])
     assert maps.alpha_e(model, 1.0) > 1.0
+
+
+def test_alpha_range():
+    """An element that bisects past f64max / 2 raises InputError naming
+    alpha_e's range, with no warning first; up to f64max / 2 the root lies
+    in its bracket and J_e in [1/8, 1], and the elastic law's exact roots
+    need no bracket."""
+    model = power_law(1.0, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, law in ((maps.alpha_e, model), (maps.jacobian_Je, viscoelastic(1.0))):
+            with pytest.raises(InputError, match="alpha_e argument must be at most"):
+                fn(law, np.array([1.0, 1e308]))
+        s = np.array([6e307, maps.ALPHA_MAX])
+        alpha = maps.alpha_e(model, s)
+        jac = maps.jacobian_Je(model, s)
+        assert maps.alpha_e(elastic(), 1.5e308) == 1.5e308
+    assert np.all((alpha > s) & (alpha <= 2.0 * s))
+    assert np.all((jac >= 0.125) & (jac <= 1.0))
+    np.testing.assert_allclose(maps.eta_e(model, alpha), s, rtol=1e-12, atol=0.0)
 
 
 def test_eta_prime_bounds(models):
@@ -148,26 +170,25 @@ def test_composite_jacobian(models, rng):
 
 
 def reference_alpha(model, s):
-    """The bisection every element of alpha_e runs, one value at a time."""
+    """The bisection every element of alpha_e runs, one value at a time:
+    40 halvings of [s, 2s]."""
     if s == 0.0:
         return 0.0
     lo, hi = s, 2.0 * s
     if maps.eta_e(model, lo) - s == 0.0:
         return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    for _ in range(40):
+        mid = 0.5 * lo + 0.5 * hi
         if maps.eta_e(model, mid) - s <= 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < maps.ROOT_TOL * max(1.0, s):
-            break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def test_array_forms_match_per_element_calls(models):
     """An array gives each element's value bit for bit: every element of
-    alpha_e's bisection stops where a lone call stops."""
+    alpha_e's bisection takes the same 40 halvings as a lone call."""
     grid = np.concatenate([[0.0], np.logspace(-6, 4, 60)])
     for model in models.values():
         for fn in (maps.eta_e, maps.alpha_e, maps.theta_prime,

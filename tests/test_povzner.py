@@ -68,6 +68,12 @@ def test_margins_battery(models, rng):
             assert np.min(norms) >= -1e-9
 
 
+@pytest.mark.parametrize("n_pairs", [0, -3])
+def test_battery_needs_a_pair(rng, n_pairs):
+    with pytest.raises(InputError, match="n_pairs must be at least 1"):
+        povzner.battery(2.0, elastic(), n_pairs, rng)
+
+
 def test_batch_matches_per_pair(models, rng):
     """The batched kernel, gain term, bound and margin equal one call per pair;
     a batch holding a pair with v == v* is rejected."""

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +150,26 @@ def test_input_validation():
 def test_law_coefficient_must_be_finite(law, a):
     with pytest.raises(InputError, match="finite"):
         law(a)
+
+
+def test_viscoelastic_coefficient_keeps_e_finite():
+    """The largest admitted viscoelastic a gives a finite e in [0, 1] at the
+    largest finite impact speed, with no warning; the next float up is
+    refused, as is a = 1e308, whose Newton solve once returned NaN."""
+    f64max = float(np.finfo(float).max)
+    a = f64max / (3.0 * f64max ** 0.2)
+    while 3.0 * (a * f64max ** 0.2) == math.inf:  # Python floats: no warning
+        a = math.nextafter(a, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = viscoelastic(a)
+        e = eval_e(model, f64max)
+        es = eval_e(model, np.array([f64max, 1e300, 1.0, 0.0]))
+        for b in (math.nextafter(a, math.inf), 1e308):
+            with pytest.raises(InputError, match="viscoelastic coefficient a"):
+                viscoelastic(b)
+    assert 0.0 <= e <= 1.0
+    assert np.all((es >= 0.0) & (es <= 1.0))
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0),
