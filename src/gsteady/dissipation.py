@@ -102,11 +102,18 @@ def psi_e(spec: DissipationSpec, r):
 
 
 def zeta_lambda(spec: DissipationSpec, lam: float, r2):
-    """Rescaled potential lam^{-(3+gamma)} Psi_e(lam^2 r^2)."""
+    """Rescaled potential lam^{-(3+gamma)} Psi_e(lam^2 r^2).
+
+    Raises InputError for lam outside (0, 1], or so small that the
+    prefactor overflows (below about 4.7e-97 at gamma 0.2)."""
     if not 0.0 < lam <= 1.0:
         raise InputError("lambda must lie in (0, 1]")
-    return (lam ** (-(3.0 + spec.model.gamma))
-            * psi_e(spec, lam * lam * np.asarray(r2, dtype=float)))
+    try:
+        scale = lam ** (-(3.0 + spec.model.gamma))
+    except OverflowError:
+        raise InputError(f"lambda = {lam!r} is too small: lam^-(3+gamma) "
+                         "overflows a float") from None
+    return scale * psi_e(spec, lam * lam * np.asarray(r2, dtype=float))
 
 
 def zeta_zero(a: float, gamma: float, r2):

@@ -15,9 +15,8 @@ streams, then the runs of one restitution law go through one collision
 sweep, their velocities concatenated.  The sweep's cost is mostly per
 round, so runs that share it share that cost; they share no particle, so
 each run is bit-identical to its run alone.  `step` and `run_to_steady` are
-the same path on one run.  A run that raises drops the runs of higher job
-index in its share, and run_many raises the exception of the lowest failed
-job index.
+the same path on one run.  A run that raises stops alone, the other runs
+finish, and run_many raises the exception of the lowest failed job index.
 
 Each candidate draws two uniforms for its scattering direction from the
 collision stream, and the sweep turns only the accepted candidates' pairs
@@ -479,10 +478,7 @@ def _run_lockstep(jobs) -> list:
 
     Returns, per job, (ensemble, report) or the exception that stopped it.
     A run that raises ConfigError at its start, or TimeStepError or
-    MajorantViolation in a step, is dropped together with every run of a
-    higher job index, whose outcome is None; the runs of lower index go on,
-    since one of them may still fail.  So the first exception in job order
-    is the one a loop of run_to_steady calls would have raised.
+    MajorantViolation in a step, stops alone; every other run finishes.
     """
     outcomes: list = [None] * len(jobs)
     live = []
@@ -491,16 +487,12 @@ def _run_lockstep(jobs) -> list:
             live.append((k, _Run(*job)))
         except ConfigError as exc:
             outcomes[k] = exc
-            break
     while live:
         errors = _step_all([run.move() for _, run in live])
-        for (k, _), error in zip(live, errors):
+        for (k, run), error in zip(live, errors):
             if error is not None:
                 outcomes[k] = error
-                live = [(j, run) for j, run in live if j < k]
-                break
-        for k, run in live:
-            if run.sample():
+            elif run.sample():
                 outcomes[k] = run.report()
         live = [(k, run) for k, run in live if outcomes[k] is None]
     return outcomes
@@ -512,12 +504,10 @@ def run_to_steady(config: EngineConfig, model: RestitutionModel,
 
     Returns (ensemble, report).  Non-convergence within max_steps yields a
     report with converged=False rather than an exception.  This is
-    run_many's lockstep loop on one run, so a run gives the same bits alone
-    and in a batch.
+    run_many on one job, which runs in this process, so a run gives the
+    same bits alone and in a batch.
     """
-    [outcome] = _run_lockstep([(config, model, init)])
-    if isinstance(outcome, Exception):
-        raise outcome
+    [outcome] = run_many([(config, model, init)])
     return outcome
 
 
@@ -540,10 +530,10 @@ def run_many(jobs) -> list:
     and draw from their own Philox streams, so the results are bit-identical
     to serial run_to_steady calls, for any worker count.
 
-    A run that fails drops the runs of higher job index in its batch; those
-    of lower index finish.  Workers return exceptions as values, and
-    run_many raises the one of the lowest failed job index, with its
-    original type, as a loop of run_to_steady calls would.
+    A run that fails stops alone; every other run of its batch finishes.
+    Workers return exceptions as values, and run_many raises the one of the
+    lowest failed job index, with its original type, as a loop of
+    run_to_steady calls would.
 
     A fork first waits for the tasks queued on this process's helper
     thread, and a child would start a helper thread of its own; the workers

@@ -155,14 +155,16 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
     |v'|^2 = |v|^2 - k (1 - s_i) (vu - c |u|) + k sin_i |v_perp| cos phi_j
     and
     |v'*|^2 = |v*|^2 + k (1 - s_i) (wu + c |u|) - k sin_i |v_perp| cos phi_j.
+
+    A pair with v == v* has u = 0, so uhat = 0 (u is divided by 1 there, as
+    in `sigma_collision`) and k = 0: its grid holds |v|^2 and |v*|^2 on
+    every node, alone or in a batch.
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     u = v - vstar
     un = np.sqrt(_dot(u, u))
-    if np.any(un == 0.0):
-        raise InputError("angular grid undefined for zero relative velocity")
-    uhat = u / un[..., None]
+    uhat = u / np.where(un == 0.0, 1.0, un)[..., None]
     vu = _dot(v, uhat)[..., None]
     # |v_perp| from the vector: sqrt(|v|^2 - vu^2) would cancel.
     v_perp = v - vu * uhat
@@ -203,13 +205,11 @@ def angular_average(psi, v, vstar, model: RestitutionModel,
     psi(|v'|^2) + psi(|v'*|^2) - psi(|v|^2) - psi(|v*|^2).
 
     Takes one pair or a batch, and psi of the squared speed, as gain_average
-    does.  A single pair with v == v* gives zeros; a batch must not contain
-    one.
+    does.  A pair with v == v* has u = 0 and gives 0 to rounding, alone or
+    in a batch (see post_collision_grid).
     """
     v = np.asarray(v, dtype=float)
     vstar = np.asarray(vstar, dtype=float)
     x, xstar = sq_norm(v), sq_norm(vstar)
-    if v.ndim == 1 and np.array_equal(v, vstar):
-        return np.zeros_like(np.asarray(psi(x)))
     return (gain_average(psi, v, vstar, model, quad)
             - np.asarray(psi(x)) - np.asarray(psi(xstar)))

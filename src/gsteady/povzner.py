@@ -71,8 +71,8 @@ def angular_kernel(v, vstar, p: float, model: RestitutionModel,
                    quad: AngularQuadrature):
     """Sphere average of the x^p collision difference (full 2-D quadrature).
 
-    One pair (3,) gives a float, 0.0 when v == v*; a batch (m, 3) gives
-    shape (m,) and must not contain a pair with v == v*.
+    One pair (3,) gives a float, a batch (m, 3) shape (m,); a pair with
+    v == v* has u = 0 and gives 0 to rounding, alone or in a batch.
     """
     return scalar_or_array(angular_average(lambda x: x ** p, v, vstar, model,
                                             quad))

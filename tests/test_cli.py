@@ -481,6 +481,26 @@ def test_sweep_lambda_rejects_bad_lambda_before_running(runner, tmp_path,
     assert not out.exists()
 
 
+def test_sweep_lambda_tiny_lambda_is_config_error(runner, tmp_path,
+                                                  monkeypatch):
+    """A lambda in (0, 1] whose prefactor lam^-(3+gamma) overflows ends in
+    one `config error:` line, before any run, not in a traceback."""
+    runs = []
+    monkeypatch.setattr("gsteady.cli.run_many", runs.append)
+    cfg = write(tmp_path, BASE_CONFIG
+                .replace("restitution.kind = constant",
+                         "restitution.kind = power_law\nrestitution.gamma = 0.2")
+                .replace("restitution.e0 = 1.0", ""))
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, ["sweep-lambda", cfg, "-l", "1e-100",
+                                  "--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("config error: lambda = 1e-100 is too small: "
+                             "lam^-(3+gamma) overflows a float\n")
+    assert runs == [] and not out.exists()
+
+
 def test_simulate_outputs_byte_identical(runner, tmp_path):
     """Two runs of one config write the same bytes: the manifest line
     carries the config hash and version, not the wall clock."""

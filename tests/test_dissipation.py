@@ -105,6 +105,20 @@ def test_zeta_lambda_identity_and_elastic():
         zeta_lambda(spec, 0.0, 1.0)
 
 
+def test_tiny_lambda_is_input_error():
+    """Below about f64max^(-1/(3+gamma)), 4.7e-97 at gamma 0.2, the prefactor
+    lam^-(3+gamma) is not a finite float: zeta_lambda and the ansatz built
+    on it raise InputError, not OverflowError.  1e-30 still gives about
+    theta."""
+    spec = DissipationSpec(power_law(1.0, 0.2))
+    assert steady_temperature_ansatz(spec, 1e-30) == pytest.approx(
+        theta_limit(1.0, 0.2).theta, rel=1e-4)
+    with pytest.raises(InputError, match="too small"):
+        zeta_lambda(spec, 1e-100, 1.0)
+    with pytest.raises(InputError, match="too small"):
+        steady_temperature_ansatz(spec, 1e-100)
+
+
 def test_zeta_limit_monotone():
     spec = DissipationSpec(power_law(1.0, 0.2))
     target = zeta_zero(1.0, 0.2, 1.0)

@@ -582,6 +582,33 @@ def test_run_many_raises_first_failed_job(monkeypatch, cores):
         assert str(got.value) == str(late.value)
 
 
+def test_failed_run_stops_alone():
+    """A run that fails early stops alone in its batch: its outcome is the
+    error it raises alone, and the run after it finishes as it does alone."""
+    bad, ok = _too_fast_jobs()[1], _jobs()[0]
+    with pytest.raises(TimeStepError) as alone:
+        run_to_steady(*bad)
+    got = dsmc._run_lockstep([bad, ok])
+    assert isinstance(got[0], TimeStepError)
+    assert str(got[0]) == str(alone.value)
+    _assert_runs_equal(got[1:], [run_to_steady(*ok)])
+
+
+def test_failed_start_does_not_stop_later_starts():
+    """A job whose initial energy overflows fails its start with ConfigError;
+    the job after it still starts and finishes as it does alone, and
+    run_many raises the ConfigError."""
+    bad = (small_config(), power_law(1.0, 0.2),
+           InitialCondition("bimodal", v0=1e154))
+    ok = _jobs()[0]
+    got = dsmc._run_lockstep([bad, ok])
+    assert isinstance(got[0], ConfigError)
+    assert "init.v0 = 1e+154" in str(got[0])
+    _assert_runs_equal(got[1:], [run_to_steady(*ok)])
+    with pytest.raises(ConfigError, match="init.v0"):
+        run_many([bad, ok])
+
+
 def test_batch_finds_the_run_that_broke_a_shared_sweep():
     """A shared sweep that raises MajorantViolation is rerun one run at a
     time: the run that raises alone (job 1, at its fifth step) stops, and

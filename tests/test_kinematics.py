@@ -171,11 +171,14 @@ def sphere_grid(uhat, e1, e2, quad, phi0):
 
 def test_grid_matches_post_collision_sigma(models, rng):
     """Each node of the squared-speed grid is sq_norm of post_collision_sigma
-    at the node's direction sigma_ij."""
+    at the node's direction sigma_ij.  Pair 2 has v == v*, so u = 0 and
+    post_collision_sigma keeps both velocities whatever sigma is: its grid
+    holds |v|^2 and |v*|^2 on every node, in the batch and alone."""
     quad = AngularQuadrature(n_s=8, n_phi=6)
     v, vstar = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     v[0], vstar[0] = [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]  # v parallel to u
     sigma = grid_directions(v, vstar, quad, rng)
+    vstar[2] = v[2]  # after the directions: u = 0 has no frame
     np.testing.assert_allclose(np.linalg.norm(sigma, axis=-1), 1.0, atol=1e-14)
     sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
     scale = (sq_norm(v) + sq_norm(vstar))[:, None, None]
@@ -190,12 +193,10 @@ def test_grid_matches_post_collision_sigma(models, rng):
                       <= 1e-13 * scale)
         assert np.all(np.abs(xps - sq_norm(ref_vps).reshape(xps.shape))
                       <= 1e-13 * scale)
-        one_xp, one_xps, _ = post_collision_grid(v[1], vstar[1], model, quad)
-        np.testing.assert_array_equal(one_xp, xp[1])
-        np.testing.assert_array_equal(one_xps, xps[1])
-    vstar[2] = v[2]
-    with pytest.raises(InputError):
-        post_collision_grid(v, vstar, elastic(), quad)
+        for k in (1, 2):
+            one_xp, one_xps, _ = post_collision_grid(v[k], vstar[k], model, quad)
+            np.testing.assert_array_equal(one_xp, xp[k])
+            np.testing.assert_array_equal(one_xps, xps[k])
 
 
 @pytest.mark.parametrize("p", [1, 2])

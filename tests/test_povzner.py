@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsteady import povzner
+from gsteady import povzner, verify
 from gsteady.dissipation import DissipationSpec, psi_e
 from gsteady.errors import InputError
 from gsteady.kinematics import AngularQuadrature
@@ -75,8 +75,9 @@ def test_battery_needs_a_pair(rng, n_pairs):
 
 
 def test_batch_matches_per_pair(models, rng):
-    """The batched kernel, gain term, bound and margin equal one call per pair;
-    a batch holding a pair with v == v* is rejected."""
+    """The batched kernel, gain term, bound and margin equal one call per pair.
+    Made equal to v[4], vstar[4] gives kernel 0 to rounding and leaves every
+    other pair's kernel as it was, bit for bit."""
     v = rng.normal(size=(15, 3))
     vstar = rng.normal(size=(15, 3))
     for model in models.values():
@@ -89,9 +90,26 @@ def test_batch_matches_per_pair(models, rng):
     bound = povzner.gain_upper_bound(v, vstar, 3.0)
     ref = [povzner.gain_upper_bound(v[k], vstar[k], 3.0) for k in range(15)]
     np.testing.assert_allclose(bound, ref, rtol=1e-13, atol=0.0)
-    vstar[4] = v[4]
-    with pytest.raises(InputError):
-        povzner.angular_kernel(v, vstar, 3.0, elastic(), QUAD)
+    equal = vstar.copy()
+    equal[4] = v[4]
+    others = np.arange(15) != 4
+    for model in models.values():
+        kernel = povzner.angular_kernel(v, equal, 3.0, model, QUAD)
+        assert abs(kernel[4]) <= 1e-14 * float(v[4] @ v[4]) ** 3.0
+        np.testing.assert_array_equal(
+            kernel[others],
+            povzner.angular_kernel(v, vstar, 3.0, model, QUAD)[others])
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_gain_term_of_equal_pair(rng, p):
+    """A pair with v == v* does not collide: its gain term is
+    2 |v|^(2p) for every law."""
+    v = rng.normal(size=3)
+    want = 2.0 * float(v @ v) ** p
+    for model in verify._models().values():
+        got = povzner.gain_term(v, v, p, model, QUAD)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_refit_k_matches_pair_loop():
