@@ -1,12 +1,13 @@
 """The helper thread: work whose inputs are ready and whose result the caller
 needs only later runs on a second core while the caller goes on.
 
-Numpy leaves the interpreter lock free inside its large loops, so a task
-that draws random numbers or evaluates a law on a block of rows runs beside
-the caller's own numpy work.  A process has one long-lived helper thread,
-the worker of a one-thread executor that the first `submit` starts; it runs
-the tasks one at a time, in the order they were submitted.  A fork first
-waits for every queued task, and the child starts its own helper thread.
+It has one job, a run's next bath kick (`dsmc._Run.move`).  Numpy leaves
+the interpreter lock free inside its large loops, so a task that draws
+random numbers runs beside the caller's own numpy work.  A process has one
+long-lived helper thread, the worker of a one-thread executor that the
+first `submit` starts; it runs the tasks one at a time, in the order they
+were submitted.  A fork first waits for every queued task, and the child
+starts its own helper thread.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
-from . import _helper
 from .errors import InputError
 from .kinematics import gauss_laguerre, gauss_legendre
 from .observables import maxwell_moment
@@ -27,14 +26,7 @@ from .restitution import RestitutionModel, e_of_s
 # scratch block that the law core overwrites.  The viscoelastic Newton solve
 # keeps five more arrays of the block's size; on a 2-core x86_64 host it
 # took 16-23 ns per element at 256 and at 512 rows, and 23-26 ns at 1024
-# rows, where its arrays outgrow the cache.  From two blocks and
-# _helper.MIN_SIZE law evaluations (rows x 64 nodes) on, psi_e splits its
-# blocks at a block boundary, queues the second half on the long-lived
-# helper thread and does the first meanwhile (a fork waits for the queued
-# half; a forked child starts a helper thread of its own).  Fewer blocks
-# leave the two threads less often waiting for the interpreter lock: on
-# 10,000 viscoelastic pairs a split call took 11.7-12.5 ms at 256 rows,
-# 10.4-11.2 ms at 512 and 12.0-12.8 ms at 1024.
+# rows, where its arrays outgrow the cache.
 PSI_BLOCK = 512
 
 
@@ -55,15 +47,24 @@ class DissipationSpec:
         object.__setattr__(self, "_z3w", z ** 3 * (0.5 * w))
 
 
-def _psi_blocks(spec: DissipationSpec, flat, out, scratch, start, stop):
-    """psi_e of flat[start:stop] into out, PSI_BLOCK rows at a time in
-    scratch (a block's rows x 64 nodes); start is a multiple of PSI_BLOCK."""
+def psi_e(spec: DissipationSpec, r):
+    """Energy dissipation potential at squared relative speed r.
+
+    One law power per pair: s at node z is (lambda_scale sqrt(r))^gamma
+    times z^gamma, passed to the law core restitution.e_of_s, PSI_BLOCK
+    rows at a time in one (rows x 64 nodes) scratch block.
+    """
+    arr = np.asarray(r, dtype=float)
+    if not np.all((arr >= 0.0) & (arr < np.inf)):
+        raise InputError("psi_e argument must be finite and non-negative")
+    flat = arr.reshape(-1)
+    out = np.empty_like(flat)
+    scratch = np.empty((min(flat.size, PSI_BLOCK), spec._z3w.size))
     model = spec.model
-    r = flat[start:stop]
-    s = (model.lambda_scale * np.sqrt(r)) ** model.gamma
-    pre = 0.5 * r ** 1.5
-    for lo in range(0, r.size, PSI_BLOCK):
-        hi = min(lo + PSI_BLOCK, r.size)
+    s = (model.lambda_scale * np.sqrt(flat)) ** model.gamma
+    pre = 0.5 * flat ** 1.5
+    for lo in range(0, flat.size, PSI_BLOCK):
+        hi = min(lo + PSI_BLOCK, flat.size)
         blk = np.multiply(s[lo:hi, None], spec._z_gamma,
                           out=scratch[:hi - lo])
         e = e_of_s(model, blk)
@@ -71,34 +72,33 @@ def _psi_blocks(spec: DissipationSpec, flat, out, scratch, start, stop):
         e *= e
         np.subtract(1.0, e, out=e)
         e *= spec._z3w
-        dst = out[start + lo:start + hi]
-        np.sum(e, axis=-1, out=dst)
-        dst *= pre[lo:hi]
+        np.sum(e, axis=-1, out=out[lo:hi])
+        out[lo:hi] *= pre[lo:hi]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def psi_e(spec: DissipationSpec, r):
-    """Energy dissipation potential at squared relative speed r.
+def psi_e_sample(model: RestitutionModel, r, u):
+    """One-node estimate of psi_e at squared relative speed r, for u
+    uniform on [0, 1) of r's shape.
 
-    One law power per pair: s at node z is (lambda_scale sqrt(r))^gamma
-    times z^gamma, passed to the law core restitution.e_of_s.
+    Psi_e(r) = (r^{3/2}/8) E[1 - e(sqrt(r) z)^2] for z = u^{1/4}, whose
+    density 4 z^3 is the integral's weight z^3, so the estimate
+    (r^{3/2}/8)(1 - e^2) at that z has mean Psi_e(r); for a constant law
+    it does not depend on u.  One law power per pair, as in psi_e:
+    s = (lambda_scale sqrt(r))^gamma u^(gamma/4).
     """
     arr = np.asarray(r, dtype=float)
     if not np.all((arr >= 0.0) & (arr < np.inf)):
         raise InputError("psi_e argument must be finite and non-negative")
+    # Computed on 1-d arrays: numpy's scalar pow rounds unlike its array pow.
     flat = arr.reshape(-1)
-    out = np.empty_like(flat)
-    blocks = -(-flat.size // PSI_BLOCK)
-    scratch = np.empty((min(flat.size, PSI_BLOCK), spec._z3w.size))
-    if blocks >= 2 and flat.size * spec._z3w.size >= _helper.MIN_SIZE:
-        mid = blocks // 2 * PSI_BLOCK
-        # Allocated here: a thread that allocates takes its own malloc arena.
-        half = _helper.submit(_psi_blocks, spec, flat, out,
-                              np.empty_like(scratch), mid, flat.size)
-        _psi_blocks(spec, flat, out, scratch, 0, mid)
-        half.result()
-    else:
-        _psi_blocks(spec, flat, out, scratch, 0, flat.size)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    s = (model.lambda_scale * np.sqrt(flat)) ** model.gamma
+    s *= np.reshape(u, -1) ** (0.25 * model.gamma)
+    e = e_of_s(model, s)
+    e *= e
+    np.subtract(1.0, e, out=e)
+    e *= 0.125 * flat ** 1.5
+    return float(e[0]) if arr.ndim == 0 else e.reshape(arr.shape)
 
 
 def zeta_lambda(spec: DissipationSpec, lam: float, r2):
@@ -109,7 +109,7 @@ def zeta_lambda(spec: DissipationSpec, lam: float, r2):
     if not 0.0 < lam <= 1.0:
         raise InputError("lambda must lie in (0, 1]")
     try:
-        scale = lam ** (-(3.0 + spec.model.gamma))
+        scale = float(lam) ** (-(3.0 + spec.model.gamma))
     except OverflowError:
         raise InputError(f"lambda = {lam!r} is too small: lam^-(3+gamma) "
                          "overflows a float") from None

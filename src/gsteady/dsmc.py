@@ -24,7 +24,9 @@ of uniforms into unit vectors.  A step's bath kick depends on no velocity,
 so each run of the lockstep loop queues its next step's kick on the
 process's one long-lived helper thread and holds it until that step
 (`_Run.move`); a lone `step` draws its kick inline.  The kick holds the
-same numbers either way, so the helper changes no trajectory bit.
+same numbers either way, so the helper changes no trajectory bit.  The
+kick is the helper's only task: the series' pair dissipation estimate
+takes one sampled node of psi_e's integral per pair (`_Run.sample`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _helper, _kernels
-from .dissipation import DissipationSpec, dissipation_functional, psi_e
+from .dissipation import dissipation_functional, psi_e_sample
 from .errors import ConfigError, InputError, MajorantViolation, TimeStepError
 from .observables import DEFAULT_P_SET, default_tail_rate, moments, tail_integral
 from .restitution import RestitutionModel
@@ -404,7 +406,6 @@ class _Run:
         self.config = config
         self.model = model
         self.ens = initial_ensemble(config, init)
-        self.spec = DissipationSpec(model)
         self.series: list[tuple] = []
         self.converged = False
 
@@ -429,15 +430,20 @@ class _Run:
     def sample(self) -> bool:
         """After a step, take the series row if one is due and test the
         trailing window; True once the run is done, steady or at
-        max_steps."""
+        max_steps.
+
+        The row's diss_estimate is the pair mean of psi_e with one sampled
+        node per pair (`dissipation.psi_e_sample`): the step's diagnostic
+        stream gives diss_pairs pairs, then one uniform per pair."""
         ens, config = self.ens, self.config
         if ens.step_count % config.sample_every == 0:
+            rng = _stream(config.seed, ens.step_count, _STREAM_DIAG)
             self.series.append((
                 ens.step_count, ens.t, *moments(ens).values(),
                 dissipation_functional(
-                    ens.velocities, lambda r2: psi_e(self.spec, r2),
-                    config.diss_pairs,
-                    _stream(config.seed, ens.step_count, _STREAM_DIAG)),
+                    ens.velocities,
+                    lambda r2: psi_e_sample(self.model, r2, rng.random(r2.shape)),
+                    config.diss_pairs, rng),
                 ens.collision_prob()))
             if len(self.series) >= config.window:
                 tail = self.series[-config.window:]
@@ -535,11 +541,11 @@ def run_many(jobs) -> list:
     lowest failed job index, with its original type, as a loop of
     run_to_steady calls would.
 
-    A fork first waits for the tasks queued on this process's helper
+    A fork first waits for the kick draws queued on this process's helper
     thread, and a child would start a helper thread of its own; the workers
-    use none (`_helper.run_inline`): on a 2-core host, eight N=2e4 runs in
-    two workers took 11.1-11.2 s that way, and 11.7-11.9 s with a bath-kick
-    prefetch thread in each worker.
+    start none and draw every kick inline (`_helper.run_inline`): on a
+    2-core host, eight N=2e4 runs in two workers took 11.1-11.2 s that way,
+    and 11.7-11.9 s with a bath-kick prefetch thread in each worker.
     """
     jobs = list(jobs)
     workers = min(_usable_cores(), len(jobs))

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gsteady import _helper
 from gsteady.dissipation import (PSI_BLOCK, DissipationSpec,
                                  dissipation_functional,
                                  gaussian_pair_average, psi_e,
+                                 psi_e_sample,
                                  steady_temperature_ansatz, theta_limit,
                                  zeta_lambda, zeta_zero)
 from gsteady.errors import InputError
@@ -59,8 +59,11 @@ def test_psi_negative_rejected():
 @pytest.mark.parametrize("r", [-0.1, np.nan, np.inf, [1.0, np.nan, 2.0],
                                [[0.5, -np.inf]]])
 def test_psi_rejects_negative_and_non_finite(r):
+    """psi_e and its one-node estimate psi_e_sample reject the same r."""
     with pytest.raises(InputError):
         psi_e(DissipationSpec(power_law(1.0, 0.2)), r)
+    with pytest.raises(InputError):
+        psi_e_sample(power_law(1.0, 0.2), r, np.full(np.shape(r), 0.5))
 
 
 @pytest.mark.parametrize("model", [
@@ -117,6 +120,19 @@ def test_tiny_lambda_is_input_error():
         zeta_lambda(spec, 1e-100, 1.0)
     with pytest.raises(InputError, match="too small"):
         steady_temperature_ansatz(spec, 1e-100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec, lam: zeta_lambda(spec, lam, 1.0), steady_temperature_ansatz],
+    ids=["zeta_lambda", "steady_temperature_ansatz"])
+def test_tiny_numpy_lambda_is_input_error(call):
+    """A numpy float lambda raises InputError as a Python float does:
+    numpy's scalar power gives inf for the prefactor instead of raising
+    OverflowError, and inf times psi_e's underflowed 0 is NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="too small"):
+            call(DissipationSpec(power_law(1.0, 0.2)), np.float64(1e-100))
 
 
 def test_zeta_limit_monotone():
@@ -261,54 +277,6 @@ def test_steady_ansatz_without_root_is_input_error():
             steady_temperature_ansatz(DissipationSpec(model), 0.5)
 
 
-# The fewest rows whose psi_e the caller and the helper thread split: two
-# blocks and _helper.MIN_SIZE law evaluations.
-SPLIT_ROWS = max(_helper.MIN_SIZE // 64, PSI_BLOCK + 1)
-
-
-@pytest.mark.parametrize("model", [constant(0.4), power_law(1.0, 0.2),
-                                   viscoelastic(1.0)],
-                         ids=["constant", "power_law", "viscoelastic"])
-def test_psi_e_split_equals_serial_blocks(model, monkeypatch):
-    """Just below the split threshold psi_e runs inline; at it, just above
-    it and at a row count that is no multiple of PSI_BLOCK, the helper
-    evaluates the second half of the blocks.  Every value equals the serial
-    block loop's (the pool workers' path) bit for bit."""
-    started = []
-    submit = _helper.submit
-
-    def spy(fn, *args):
-        started.append(fn.__name__)
-        return submit(fn, *args)
-
-    monkeypatch.setattr(_helper, "submit", spy)
-    spec = DissipationSpec(model)
-    r = np.random.default_rng(6).exponential(2.0, size=3 * SPLIT_ROWS)
-    sizes = (SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1, 2 * SPLIT_ROWS + 37)
-    assert sizes[-1] % PSI_BLOCK != 0
-    split = [psi_e(spec, r[:n]) for n in sizes]
-    assert started == ["_psi_blocks"] * 3
-    monkeypatch.setattr(_helper, "MIN_SIZE", math.inf)
-    for n, got in zip(sizes, split):
-        np.testing.assert_array_equal(got.view(np.int64),
-                                      psi_e(spec, r[:n]).view(np.int64))
-    assert started == ["_psi_blocks"] * 3
-
-
-def test_psi_e_split_keeps_caller_error_state():
-    """The helper's half runs under the caller's numpy error state: an
-    overflow there raises in the caller under `over="raise"`, as inline,
-    and warns nothing under `over="ignore"`."""
-    spec = DissipationSpec(constant(0.4))
-    r = np.ones(2 * SPLIT_ROWS)
-    r[-1] = 1e300  # r ** 1.5 overflows, in the helper's half
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        psi_e(spec, r)
-    with np.errstate(over="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert psi_e(spec, r)[-1] == np.inf
-
-
 def test_psi_e_blocks_match_whole_array():
     """Blocks of rows leave every value bit for bit as one whole-array pass."""
     r = np.random.default_rng(4).exponential(2.0, size=2 * PSI_BLOCK + 5)
@@ -324,10 +292,9 @@ def test_psi_e_blocks_match_whole_array():
 
 
 def test_psi_e_memory_bounded():
-    """One call on 100 000 pairs (the diagnostic's default sample) peaks
-    under 32 MB of traced memory, for the power law and for the
-    viscoelastic law with its Newton arrays; its (pairs x 64 nodes)
-    temporaries held at once would take about 200 MB."""
+    """One call on 100 000 rows peaks under 32 MB of traced memory, for the
+    power law and for the viscoelastic law with its Newton arrays; its
+    (rows x 64 nodes) temporaries held at once would take about 200 MB."""
     r = np.random.default_rng(5).exponential(2.0, size=100_000)
     for model in (power_law(1.0, 0.2), viscoelastic(1.0)):
         spec = DissipationSpec(model)
@@ -339,3 +306,36 @@ def test_psi_e_memory_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20, model.kind
+
+
+def test_psi_e_sample_exact_for_constant_law():
+    """For a constant law 1 - e^2 does not depend on the node, so the
+    one-node estimate is the closed form (r^{3/2}/8)(1 - e0^2), whatever u,
+    and psi_e to its quadrature's rounding (its 64-term sum reads 1.3e-15
+    below the closed form); a scalar r gives a float equal to its array
+    row."""
+    model = constant(0.3)
+    rng = np.random.default_rng(7)
+    r = rng.exponential(2.0, size=1000)
+    exact = 0.125 * r ** 1.5 * (1.0 - 0.3 ** 2)
+    quad = psi_e(DissipationSpec(model), r)
+    for u in (rng.random(r.size), np.zeros(r.size), np.full(r.size, 1.0 - 2 ** -53)):
+        got = psi_e_sample(model, r, u)
+        np.testing.assert_allclose(got, exact, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(got, quad, rtol=2e-15, atol=0.0)
+    got = psi_e_sample(model, r[3], 0.5)
+    assert isinstance(got, float)
+    assert got == psi_e_sample(model, r, np.full(r.size, 0.5))[3]
+
+
+@pytest.mark.parametrize("model", [power_law(1.0, 0.2), viscoelastic(1.0)],
+                         ids=["power_law", "viscoelastic"])
+@pytest.mark.parametrize("r", [1e-2, 1.0, 1e2])
+def test_psi_e_sample_mean_matches_quadrature(model, r):
+    """The mean of 2e5 one-node draws at z = u^(1/4) lies within 4 standard
+    errors of the 64-node quadrature."""
+    u = np.random.default_rng(8).random(200_000)
+    draws = psi_e_sample(model, np.full(u.size, r), u)
+    se = draws.std(ddof=1) / math.sqrt(u.size)
+    assert se > 0.0
+    assert abs(draws.mean() - psi_e(DissipationSpec(model), r)) < 4.0 * se

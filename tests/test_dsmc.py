@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gsteady import _helper, dsmc
 from gsteady.config import build_setup, parse_config_text
-from gsteady.dissipation import DissipationSpec, dissipation_functional, psi_e
+from gsteady.dissipation import dissipation_functional, psi_e_sample
 from gsteady.dsmc import (EngineConfig, InitialCondition, initial_ensemble,
                           load_snapshot, run_many, run_to_steady,
                           save_snapshot, step)
@@ -484,6 +484,27 @@ def test_run_to_steady_passes_diss_pairs(monkeypatch):
         assert seen == [pairs, pairs]
 
 
+def test_diss_estimate_draws_pairs_then_one_uniform_per_pair():
+    """A series row's diss_estimate, rebuilt by hand from the step's
+    diagnostic stream: diss_pairs pairs first, then one uniform per pair
+    for psi_e_sample's node, equals the run's bit for bit."""
+    cfg = small_config(n=500, mu=0.3, seed=32, max_steps=10, window=2,
+                       sample_every=5, diss_pairs=3000)
+    model = rescale(viscoelastic(1.0), 0.5)
+    ens, rep = run_to_steady(cfg, model, InitialCondition("maxwellian", t0=1.0))
+    row = rep.series[-1]
+    assert row[0] == ens.step_count
+    rng = dsmc._stream(cfg.seed, ens.step_count, dsmc._STREAM_DIAG)
+    n = ens.n
+    ii = rng.integers(0, n, size=cfg.diss_pairs)
+    jj = rng.integers(0, n - 1, size=cfg.diss_pairs)
+    jj = jj + (jj >= ii)
+    diff = ens.velocities[ii] - ens.velocities[jj]
+    r2 = np.einsum("ij,ij->i", diff, diff)
+    psi = psi_e_sample(model, r2, rng.random(cfg.diss_pairs))
+    assert row[6] == (n - 1) / n * float(np.mean(psi)) > 0.0
+
+
 @pytest.mark.parametrize("resize", [-10, 1])
 def test_snapshot_wrong_size_rejected(tmp_path, resize):
     cfg = small_config()
@@ -746,13 +767,12 @@ def _helper_run_config(**kw):
 
 def _helper_starts_in_worker(*job):
     """Run, in a pool worker, a run whose kicks are above the helper's
-    threshold and a psi_e above its split threshold; return the threshold,
-    the tasks submitted and whether the worker has no helper pool."""
+    threshold; return the threshold, the tasks submitted and whether the
+    worker has no helper pool."""
     with pytest.MonkeyPatch.context() as patch:
         started, _ = _spy_helpers(patch)
         _run_lockstep([(_helper_run_config(max_steps=3), constant(0.6),
                         InitialCondition("maxwellian", t0=1.0))])
-        psi_e(DissipationSpec(constant(0.6)), np.ones(4 * 256))
     return _helper.MIN_SIZE, started, _helper._pool is None
 
 
@@ -762,10 +782,9 @@ def _helper_starts_in_share(share):
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_pool_workers_draw_kicks_inline(monkeypatch, cores):
-    """run_many's pool workers draw every kick and evaluate both psi_e
-    halves inline, with no task submitted and no helper thread started,
-    whether or not the pool leaves a core free; the parent process keeps
-    the helper."""
+    """run_many's pool workers draw every kick inline, with no task
+    submitted and no helper thread started, whether or not the pool leaves
+    a core free; the parent process keeps the helper."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(dsmc, "_run_lockstep", _helper_starts_in_share)
@@ -849,10 +868,9 @@ def test_no_prefetch_below_threshold(monkeypatch):
 
 
 def test_helper_draws_equal_inline_draws(monkeypatch):
-    """A run whose kicks and psi_e halves come from the helper equals, bit
-    for bit, the same run with the pool-worker switch set, where every kick
-    and both halves are inline: the velocities, the ledger and every series
-    row, diss_estimate included."""
+    """A run whose kicks come from the helper equals, bit for bit, the same
+    run with the pool-worker switch set, where every kick is inline: the
+    velocities, the ledger and every series row, diss_estimate included."""
     cfg = _helper_run_config(seed=24)
     model = rescale(power_law(1.0, 0.2), 0.3)
     init = InitialCondition("maxwellian", t0=1.0)
@@ -864,8 +882,7 @@ def test_helper_draws_equal_inline_draws(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     _helper.join()
-    assert set(started) == {"_draw_kick", "_psi_blocks"}
-    assert started.count("_draw_kick") == cfg.max_steps - 1
+    assert started == ["_draw_kick"] * (cfg.max_steps - 1)
     monkeypatch.setattr(_helper, "MIN_SIZE", _helper.MIN_SIZE)  # restored
     _helper.run_inline()
     started.clear()
@@ -910,14 +927,13 @@ def test_violation_while_helper_draws(monkeypatch):
 
 
 def test_at_most_one_helper_alive(monkeypatch):
-    """However the step's kick draws and the psi_e halves interleave in a
-    run, every task runs on one thread, the gsteady helper, and no other
-    gsteady thread is ever alive beside it."""
+    """Every kick a run draws ahead runs on one thread, the gsteady helper,
+    and no other gsteady thread is ever alive beside it."""
     started, ran = _spy_helpers(monkeypatch)
-    run_to_steady(_helper_run_config(seed=26), viscoelastic(1.0),
-                  InitialCondition("maxwellian", t0=1.0))
+    cfg = _helper_run_config(seed=26)
+    run_to_steady(cfg, viscoelastic(1.0), InitialCondition("maxwellian", t0=1.0))
     _helper.join()
-    assert len(ran) == len(started) > 10
+    assert len(ran) == len(started) == cfg.max_steps - 1
     assert len({ident for ident, _, _ in ran}) == 1
     assert {name.startswith("gsteady-helper") for _, name, _ in ran} == {True}
     assert {alive for _, _, alive in ran} == {1}
