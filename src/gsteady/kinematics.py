@@ -11,6 +11,7 @@ post-collision squared speeds |v'|^2, |v'*|^2 and no velocity vectors.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,14 @@ def gauss_laguerre(n: int):
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Gauss-Legendre nodes in cos(theta) plus a trapezoid rule in azimuth."""
+    """Gauss-Legendre nodes in cos(theta) plus a trapezoid rule in azimuth.
+
+    n_s is the number of Gauss-Legendre nodes s_i in [-1, 1] and n_phi the
+    number of nodes phi_j = 2 pi j / n_phi of the trapezoid rule on the full
+    circle; both are integers.  post_collision_grid evaluates only the half
+    ring j = 0 .. n_phi // 2, because a node's value depends on phi_j only
+    through cos(phi_j) (see there).
+    """
 
     n_s: int = 64
     n_phi: int = 32
@@ -52,6 +60,12 @@ class AngularQuadrature:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # A float size fails in numpy (n_s) or builds a non-uniform rule
+        # (n_phi).
+        for name in ("n_s", "n_phi"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InputError(f"{name} must be an integer, got {value!r}")
         if self.n_s < 2:
             raise InputError("angular quadrature needs at least 2 nodes")
         if self.n_phi < 1:
@@ -132,13 +146,13 @@ def energy_loss(v, vstar, sigma, model: RestitutionModel):
 
 def post_collision_grid(v, vstar, model: RestitutionModel,
                         quad: AngularQuadrature):
-    """Post-collision squared speeds on the full sigma quadrature grid.
+    """Post-collision squared speeds on the half-ring sigma quadrature grid.
 
-    v, vstar are one pair of shape (3,) or a batch of shape (m, 3).  Returns
-    (xp, xps, w): xp = |v'|^2 and xps = |v'*|^2 of shape (..., n_s, n_phi),
-    and weights w of shape (n_s,) normalized so that sum(w) / n_phi == 1,
-    i.e. the pair (w, uniform azimuth) integrates the isotropic kernel
-    1/(4 pi) d sigma.
+    v, vstar are one pair of shape (3,) or a batch of shape (m, 3); one pair
+    against a batch is taken as that pair repeated.  Returns (xp, xps, w):
+    xp = |v'|^2 and xps = |v'*|^2 of shape (..., n_s, n_phi // 2 + 1), and
+    weights w of shape (n_s, n_phi // 2 + 1) that sum to 1, i.e. they
+    integrate the isotropic kernel 1/(4 pi) d sigma.
 
     Node (i, j) is the collision with direction
     sigma_ij = s_i uhat + sin_i (cos phi_j e1 + sin phi_j e2), where s_i is
@@ -156,12 +170,19 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
     and
     |v'*|^2 = |v*|^2 + k (1 - s_i) (wu + c |u|) - k sin_i |v_perp| cos phi_j.
 
+    So a node depends on phi_j only through cos phi_j, and node n_phi - j
+    holds the values of node j.  The grid keeps the half ring
+    j = 0 .. n_phi // 2, and w = outer(weights / 2, w_phi) folds each
+    mirrored node into its twin: w_phi = (1, 2, ..., 2, 1) / n_phi, with
+    weight 1 at j = 0 and, for even n_phi, at j = n_phi / 2.  This is the
+    n_phi-point trapezoid rule on the full circle, node for node.
+
     A pair with v == v* has u = 0, so uhat = 0 (u is divided by 1 there, as
     in `sigma_collision`) and k = 0: its grid holds |v|^2 and |v*|^2 on
     every node, alone or in a batch.
     """
-    v = np.asarray(v, dtype=float)
-    vstar = np.asarray(vstar, dtype=float)
+    v, vstar = np.broadcast_arrays(np.asarray(v, dtype=float),
+                                   np.asarray(vstar, dtype=float))
     u = v - vstar
     un = np.sqrt(_dot(u, u))
     uhat = u / np.where(un == 0.0, 1.0, un)[..., None]
@@ -169,8 +190,10 @@ def post_collision_grid(v, vstar, model: RestitutionModel,
     # |v_perp| from the vector: sqrt(|v|^2 - vu^2) would cancel.
     v_perp = v - vu * uhat
     s = quad.nodes
-    w = 0.5 * quad.weights
-    phi = 2.0 * np.pi * np.arange(quad.n_phi) / quad.n_phi
+    j = np.arange(quad.n_phi // 2 + 1)
+    phi = 2.0 * np.pi * j / quad.n_phi
+    w_phi = np.where((j == 0) | (2 * j == quad.n_phi), 1.0, 2.0) / quad.n_phi
+    w = np.outer(0.5 * quad.weights, w_phi)
     sin_t = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
     un = un[..., None]
     k = np.asarray(beta(model, un * np.sqrt(0.5 * (1.0 - s)))) * un
@@ -188,15 +211,17 @@ def gain_average(psi, v, vstar, model: RestitutionModel,
                  quad: AngularQuadrature):
     """Isotropic sphere average of psi(|v'|^2) + psi(|v'*|^2).
 
-    v, vstar are one pair (3,) or a batch (m, 3); psi takes squared speeds,
-    an array of shape (...), and returns shape (...) or (..., k); the result
-    has the batch shape followed by psi's trailing shape.
+    v, vstar are one pair (3,) or a batch (m, 3), or one of each; psi takes
+    squared speeds, an array of shape (...), and returns shape (...) or
+    (..., k); the result has the batch shape followed by psi's trailing
+    shape.
     """
     xp, xps, w = post_collision_grid(v, vstar, model, quad)
     vals = np.asarray(psi(xp)) + np.asarray(psi(xps))
-    # Gauss-Legendre in cos(theta) over axis `lead`, uniform in azimuth.
-    lead = np.ndim(v) - 1
-    return np.tensordot(w, vals.mean(axis=lead + 1), axes=(0, lead))
+    # Both grid axes at once: Gauss-Legendre in cos(theta), half-ring
+    # trapezoid in azimuth.
+    lead = xp.ndim - 2
+    return np.tensordot(vals, w, axes=([lead, lead + 1], [0, 1]))
 
 
 def angular_average(psi, v, vstar, model: RestitutionModel,

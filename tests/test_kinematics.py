@@ -25,6 +25,19 @@ def test_quadrature_invariants():
         AngularQuadrature(n_phi=0)
 
 
+@pytest.mark.parametrize("sizes", [{"n_s": 16.0}, {"n_phi": 7.5}])
+def test_quadrature_sizes_must_be_integers(sizes):
+    with pytest.raises(InputError, match="must be an integer"):
+        AngularQuadrature(**sizes)
+
+
+def test_quadrature_takes_numpy_integers():
+    quad = AngularQuadrature(n_s=np.int64(8), n_phi=np.int64(8))
+    np.testing.assert_array_equal(quad.nodes, AngularQuadrature(n_s=8).nodes)
+    xp, _, w = post_collision_grid(V, VSTAR, elastic(), quad)
+    assert xp.shape == w.shape == (8, 5)
+
+
 @pytest.mark.parametrize("rule, reference", [
     (gauss_legendre, np.polynomial.legendre.leggauss),
     (gauss_laguerre, np.polynomial.laguerre.laggauss),
@@ -169,43 +182,73 @@ def sphere_grid(uhat, e1, e2, quad, phi0):
     return s * uhat[:, None, None, :] + sin_t * ring  # (m, n_s, n_phi, 3)
 
 
+def node_speeds(v, vstar, sigma, model):
+    """sq_norm of post_collision_sigma's two velocities at each direction of
+    a grid sigma of shape (m, n_s, n, 3), normalized first: two arrays of
+    shape (m, n_s, n)."""
+    sigma = sigma / np.linalg.norm(sigma, axis=-1, keepdims=True)
+    vb = np.broadcast_to(v[:, None, None], sigma.shape).reshape(-1, 3)
+    vsb = np.broadcast_to(vstar[:, None, None], sigma.shape).reshape(-1, 3)
+    vp, vps = post_collision_sigma(vb, vsb, sigma.reshape(-1, 3), model)
+    return (sq_norm(vp).reshape(sigma.shape[:3]),
+            sq_norm(vps).reshape(sigma.shape[:3]))
+
+
+def full_ring_mean(vals, quad):
+    """The quadrature of vals over a full-ring grid (m, n_s, n_phi)."""
+    return np.einsum("i,mij->m", 0.5 * quad.weights, vals) / quad.n_phi
+
+
 def test_grid_matches_post_collision_sigma(models, rng):
     """Each node of the squared-speed grid is sq_norm of post_collision_sigma
-    at the node's direction sigma_ij.  Pair 2 has v == v*, so u = 0 and
+    at the node's direction sigma_ij, on the half ring j = 0 .. n_phi // 2
+    that the grid holds.  Pair 2 has v == v*, so u = 0 and
     post_collision_sigma keeps both velocities whatever sigma is: its grid
     holds |v|^2 and |v*|^2 on every node, in the batch and alone."""
     quad = AngularQuadrature(n_s=8, n_phi=6)
     v, vstar = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
     v[0], vstar[0] = [0.0, 0.0, 3.0], [0.0, 0.0, 1.0]  # v parallel to u
-    sigma = grid_directions(v, vstar, quad, rng)
+    sigma = grid_directions(v, vstar, quad, rng)[:, :, :4]
     vstar[2] = v[2]  # after the directions: u = 0 has no frame
     np.testing.assert_allclose(np.linalg.norm(sigma, axis=-1), 1.0, atol=1e-14)
-    sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
     scale = (sq_norm(v) + sq_norm(vstar))[:, None, None]
-    vb = np.broadcast_to(v[:, None, None], sigma.shape).reshape(-1, 3)
-    vsb = np.broadcast_to(vstar[:, None, None], sigma.shape).reshape(-1, 3)
+    w_phi = np.array([1.0, 2.0, 2.0, 1.0]) / 6.0
     for model in models.values():
         xp, xps, w = post_collision_grid(v, vstar, model, quad)
-        assert xp.shape == xps.shape == (5, 8, 6)
-        np.testing.assert_array_equal(w, 0.5 * quad.weights)
-        ref_vp, ref_vps = post_collision_sigma(vb, vsb, sigma.reshape(-1, 3), model)
-        assert np.all(np.abs(xp - sq_norm(ref_vp).reshape(xp.shape))
-                      <= 1e-13 * scale)
-        assert np.all(np.abs(xps - sq_norm(ref_vps).reshape(xps.shape))
-                      <= 1e-13 * scale)
+        assert xp.shape == xps.shape == (5, 8, 4)
+        np.testing.assert_array_equal(w, np.outer(0.5 * quad.weights, w_phi))
+        ref_xp, ref_xps = node_speeds(v, vstar, sigma, model)
+        assert np.all(np.abs(xp - ref_xp) <= 1e-13 * scale)
+        assert np.all(np.abs(xps - ref_xps) <= 1e-13 * scale)
         for k in (1, 2):
             one_xp, one_xps, _ = post_collision_grid(v[k], vstar[k], model, quad)
             np.testing.assert_array_equal(one_xp, xp[k])
             np.testing.assert_array_equal(one_xps, xps[k])
 
 
+@pytest.mark.parametrize("n_phi", [5, 6])
+def test_mirrored_azimuths_give_equal_speeds(models, rng, n_phi):
+    """post_collision_sigma at the directions of azimuth nodes j and
+    n_phi - j gives the same squared speeds: the claim the half-ring grid
+    rests on, checked through the vector path."""
+    quad = AngularQuadrature(n_s=8, n_phi=n_phi)
+    v, vstar = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    sigma = grid_directions(v, vstar, quad, rng)
+    scale = (sq_norm(v) + sq_norm(vstar))[:, None, None]
+    mirror = (n_phi - np.arange(n_phi)) % n_phi
+    for model in models.values():
+        for x in node_speeds(v, vstar, sigma, model):
+            assert np.all(np.abs(x - x[:, :, mirror]) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("n_phi", [5, 6])
 @pytest.mark.parametrize("p", [1, 2])
-def test_gain_average_frame_independent(models, rng, p):
+def test_gain_average_frame_independent(models, rng, p, n_phi):
     """For psi(x) = x and x^2 the azimuthal trapezoid rule is exact with
     n_phi >= 3, so gain_average equals a brute-force mean of
     post_collision_sigma over a sigma grid in a random frame about u, with
-    a random azimuth origin."""
-    quad = AngularQuadrature(n_s=12, n_phi=5)
+    a random azimuth origin.  Even n_phi has a lone node at phi = pi."""
+    quad = AngularQuadrature(n_s=12, n_phi=n_phi)
     v, vstar = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     u = v - vstar
     uhat = u / np.linalg.norm(u, axis=1, keepdims=True)
@@ -213,16 +256,31 @@ def test_gain_average_frame_independent(models, rng, p):
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(uhat, e1)
     sigma = sphere_grid(uhat, e1, e2, quad, rng.uniform(0.0, 2.0 * np.pi))
-    sigma /= np.linalg.norm(sigma, axis=-1, keepdims=True)
-    vb = np.broadcast_to(v[:, None, None], sigma.shape).reshape(-1, 3)
-    vsb = np.broadcast_to(vstar[:, None, None], sigma.shape).reshape(-1, 3)
-    w = 0.5 * quad.weights
     for model in models.values():
-        vp, vps = post_collision_sigma(vb, vsb, sigma.reshape(-1, 3), model)
-        vals = (sq_norm(vp) ** p + sq_norm(vps) ** p).reshape(sigma.shape[:3])
-        brute = np.einsum("i,mij->m", w, vals) / quad.n_phi
+        xp, xps = node_speeds(v, vstar, sigma, model)
+        brute = full_ring_mean(xp ** p + xps ** p, quad)
         got = gain_average(lambda x: x ** p, v, vstar, model, quad)
         np.testing.assert_allclose(got, brute, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n_phi", [1, 2])
+def test_gain_average_full_ring_mean_few_azimuths(models, rng, n_phi):
+    """With one or two azimuth nodes the rule is not exact, so gain_average
+    is checked against the same rule on the full ring: the brute-force mean
+    of post_collision_sigma over the grid in the documented frame
+    (phi0 = 0)."""
+    quad = AngularQuadrature(n_s=12, n_phi=n_phi)
+    v, vstar = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    sigma = grid_directions(v, vstar, quad, rng)
+
+    def psi(x):
+        return x ** 1.5
+
+    for model in models.values():
+        xp, xps = node_speeds(v, vstar, sigma, model)
+        brute = full_ring_mean(psi(xp) + psi(xps), quad)
+        got = gain_average(psi, v, vstar, model, quad)
+        np.testing.assert_allclose(got, brute, rtol=1e-13, atol=0.0)
 
 
 def test_angular_average_batch_matches_per_pair(models, rng):
@@ -238,6 +296,26 @@ def test_angular_average_batch_matches_per_pair(models, rng):
         assert batch.shape == (7, 2)
         ref = [angular_average(psi, v[k], vstar[k], model, quad) for k in range(7)]
         np.testing.assert_allclose(batch, ref, rtol=1e-13, atol=0.0)
+
+
+def test_angular_average_one_pair_against_batch(models, rng):
+    """One v against a batch of v*, or a batch of v against one v*, gives
+    each pair's average.  The batch sums in another order, and the average
+    is a difference of terms up to |v|^4, hence the atol."""
+    v, vstar = rng.normal(size=3), rng.normal(size=(7, 3))
+
+    def psi(x):
+        return np.stack([x, x * x], axis=-1)
+
+    quad = AngularQuadrature(n_s=16, n_phi=8)
+    for model in models.values():
+        got = angular_average(psi, v, vstar, model, quad)
+        assert got.shape == (7, 2)
+        ref = [angular_average(psi, v, vstar[k], model, quad) for k in range(7)]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
+        got = angular_average(psi, vstar, v, model, quad)
+        ref = [angular_average(psi, vstar[k], v, model, quad) for k in range(7)]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-12)
 
 
 def test_pair_forms_match_per_pair_calls(models, rng):
